@@ -31,11 +31,16 @@ def _json_object(text: str) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, kinds) -> object:
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
+    if not isinstance(value, kinds) or (kinds is int and not _is_int(value)):
         raise ParseError(f"field {key!r} has the wrong type")
     return value
 
@@ -44,7 +49,7 @@ def _int_matrix(doc: dict, key: str) -> list[list[int]]:
     value = _require(doc, key, list)
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+        if not isinstance(row, list) or not all(_is_int(v) for v in row):
             raise ParseError(f"field {key!r} row {i} must be a list of integers")
         rows.append(row)
     return rows
@@ -52,7 +57,7 @@ def _int_matrix(doc: dict, key: str) -> list[list[int]]:
 
 def _int_vector(doc: dict, key: str) -> list[int]:
     value = _require(doc, key, list)
-    if not all(isinstance(v, int) for v in value):
+    if not all(_is_int(v) for v in value):
         raise ParseError(f"field {key!r} must be a list of integers")
     return value
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .morphisms import canonical_form, find_isomorphism
 from .subdigroups import all_subdigroups
@@ -47,19 +46,15 @@ class SearchOptions:
     """Options for enumerate_digroups.
 
     max_solutions truncates the returned catalog to its first entries in
-    canonical order; workers > 1 splits the search on the first branching
-    cell across processes (output is identical for any worker count); mode
-    selects the propagating search or the brute-force oracle.
+    canonical order; mode selects the propagating search or the brute-force
+    oracle; allow_large lifts the order cap of the propagating search.
     """
 
     max_solutions: Optional[int] = None
-    workers: int = 1
     mode: str = "propagating"
     allow_large: bool = False
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.mode not in ("propagating", "naive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.max_solutions is not None and self.max_solutions < 1:
@@ -310,17 +305,13 @@ class _Search:
         )
         self.solutions.append((left, right))
 
-    def run(self, prefix: Sequence[int] = ()) -> list[tuple[tuple, tuple]]:
-        active = [(pid, 0) for pid in range(len(self.perms))]
-        for i, v in enumerate(prefix):
-            if not self._try(self.bcells[i], v):
-                return []
+    def run(self) -> list[tuple[tuple, tuple]]:
         if not self._liu_feasible():
             return []
-        active = self._lex_filter(active)
+        active = self._lex_filter([(pid, 0) for pid in range(len(self.perms))])
         if active is None:
             return []
-        self._dfs(len(prefix), active)
+        self._dfs(0, active)
         return self.solutions
 
     def _dfs(self, bpos: int, active) -> None:
@@ -339,11 +330,6 @@ class _Search:
                 if new_active is not None:
                     self._dfs(bpos + 1, new_active)
             self._undo(mark)
-
-
-def _subtree_solutions(args: tuple[int, tuple[int, ...]]):
-    n, prefix = args
-    return _Search(n).run(prefix)
 
 
 def _entries_from_solutions(n: int, solutions) -> list[CatalogEntry]:
@@ -386,14 +372,7 @@ def enumerate_digroups(
             "pass allow_large to go beyond (no timing promise)"
         )
 
-    prefixes = [(v,) for v in range(n)] if n > 1 else [()]
-    if opts.workers > 1 and len(prefixes) > 1:
-        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            chunks = list(pool.map(_subtree_solutions, [(n, p) for p in prefixes]))
-    else:
-        chunks = [_subtree_solutions((n, p)) for p in prefixes]
-    solutions = [s for chunk in chunks for s in chunk]
-    entries = _entries_from_solutions(n, solutions)
+    entries = _entries_from_solutions(n, _Search(n).run())
     if opts.max_solutions is not None:
         entries = entries[: opts.max_solutions]
     return entries

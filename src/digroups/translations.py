@@ -15,8 +15,10 @@ transform of a to its group-part transform is a semigroup homomorphism.
 Composing the two families pairwise turns (group part) x (semi part) into a
 digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
-The mirrored construction on right translations is built with reversed
-composition order and is verified at construction time.
+The right-handed theory is the left one applied to the opposite digroup
+(x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
+translations, and the mirrored product is its left product, taken opposite
+again and relabelled (i, j) -> (j, i).  It is verified at construction time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .morphisms import find_isomorphism, is_homomorphism
+from .morphisms import find_isomorphism, is_homomorphism, relabel
 from .subdigroups import SubsetMask, is_subdigroup, restrict
 from .tables import (
     ConstructionError,
@@ -189,13 +191,16 @@ def left_translations(table: DigroupTable) -> TranslationPair:
 def right_translations(table: DigroupTable) -> TranslationPair:
     """Right translation sets: the group part collects x -> x ⇀ a (columns of
     the left table), the semi part x -> x ↼ a (columns of the right table;
-    always n distinct since they send e to a)."""
-    n = table.order
-    lcols = [tuple(table.left[x][a] for x in range(n)) for a in range(n)]
-    rcols = [tuple(table.right[x][a] for x in range(n)) for a in range(n)]
-    group = TransformSet.from_rows(lcols)
-    semi = TransformSet.from_rows(rcols)
-    return TranslationPair(group, semi)
+    always n distinct since they send e to a).  These are the left
+    translation sets of the opposite digroup."""
+    return left_translations(_opposite(table))
+
+
+def _opposite(table: DigroupTable) -> DigroupTable:
+    """The opposite digroup: x ⇀' y = y ↼ x and x ↼' y = y ⇀ x, same
+    identity and labels.  It is a digroup exactly when the table is."""
+    left, right = zip(*table.right), zip(*table.left)  # transposes
+    return DigroupTable(table.order, table.identity, left, right, table.labels)
 
 
 def phi(table: DigroupTable) -> Mapping:
@@ -323,11 +328,81 @@ class ProductDigroup:
     second_parts: TransformSet
 
 
-def _compose_index(ts: TransformSet, i: int, k: int, context: str) -> int:
-    idx = ts.index_of(ts.transforms[i].compose(ts.transforms[k]))
-    if idx is None:
-        raise ConstructionError(f"{context}: composition escapes the transform set")
-    return idx
+def _composition_table(ts: TransformSet, what: str) -> list[list[int]]:
+    """Index of transforms[i]∘transforms[k] for every pair, which must stay
+    in the set."""
+    rows = []
+    for a in ts.transforms:
+        row = [ts.index_of(a.compose(b)) for b in ts.transforms]
+        if None in row:
+            raise ConstructionError(f"{what} not closed under composition")
+        rows.append(row)
+    return rows
+
+
+def _pair_table(
+    group: TransformSet,
+    semi: TransformSet,
+    right_second: list[list[int]],
+    identity_pair: int,
+) -> DigroupTable:
+    """The unvalidated pair table on (group index, semi index) pairs, indexed
+    (i, j) -> i * |semi| + j.  Both products compose first components; the
+    left product composes second components, the right product takes its
+    second component (j, l) -> right_second[j][l]."""
+    g, s = len(group), len(semi)
+    first = _composition_table(group, "group part")
+    second = _composition_table(semi, "semi part")
+    left, right = [], []
+    for i in range(g):
+        for j in range(s):
+            lrow, rrow = [], []
+            for k in range(g):
+                base = first[i][k] * s
+                lrow += [base + v for v in second[j]]
+                rrow += [base + v for v in right_second[j]]
+            left.append(lrow)
+            right.append(rrow)
+    return DigroupTable(g * s, identity_pair, left, right)
+
+
+def _translation_product(table: DigroupTable) -> ProductDigroup:
+    """translation_product_digroup without the final axiom check."""
+    n = table.order
+    e = table.identity
+    group, semi = left_translations(table)
+    phi_map = phi(table)
+    s = len(semi)
+
+    # The right product's second component is the semi transform of b ↼ d,
+    # where b and d are the second components' labels recovered as f(e); the
+    # transform route phi(f)∘g must agree with it.
+    right_second = []
+    for j, f in enumerate(semi.transforms):
+        pf = group.transforms[phi_map(j)]
+        row = []
+        for h in semi.transforms:
+            by_label = semi.label_of(table.right[f(e)][h(e)])
+            by_transform = semi.index_of(pf.compose(h))
+            if by_transform != by_label:
+                raise ConstructionError(
+                    "right product second component is not well-defined: "
+                    f"label route gives {by_label}, transform route {by_transform}"
+                )
+            row.append(by_label)
+        right_second.append(row)
+
+    ident_first = group.index_of(Transform.identity(n))
+    if ident_first is None:
+        raise ConstructionError("group part lacks the identity transform")
+    identity_pair = ident_first * s + semi.label_of(e)
+    product = _pair_table(group, semi, right_second, identity_pair)
+
+    pair_labels = tuple((i, j) for i in range(len(group)) for j in range(s))
+    eta_image = tuple(group.label_of(a) * s + semi.label_of(a) for a in range(n))
+    eta = Mapping(n, product.order, eta_image)
+    diagonal = SubsetMask.of(product.order, set(eta.image))
+    return ProductDigroup(product, pair_labels, eta, diagonal, group, semi)
 
 
 def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
@@ -340,52 +415,9 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
     route phi(f)∘g must agree and the result must pass the axiom checker;
     both are verified here.
     """
-    n = table.order
-    e = table.identity
-    group, semi = left_translations(table)
-    phi_map = phi(table)
-    g, s = len(group), len(semi)
-
-    def right_second(j: int, l: int) -> int:
-        b = semi.transforms[j](e)
-        d = semi.transforms[l](e)
-        by_label = semi.label_of(table.right[b][d])
-        composed = group.transforms[phi_map(j)].compose(semi.transforms[l])
-        by_transform = semi.index_of(composed)
-        if by_transform != by_label:
-            raise ConstructionError(
-                "right product second component is not well-defined: "
-                f"label route gives {by_label}, transform route {by_transform}"
-            )
-        return by_label
-
-    size = g * s
-    left = [[0] * size for _ in range(size)]
-    right = [[0] * size for _ in range(size)]
-    pair_labels = tuple((i, j) for i in range(g) for j in range(s))
-    for i in range(g):
-        for j in range(s):
-            p = i * s + j
-            for k in range(g):
-                first = _compose_index(group, i, k, "translation product group part")
-                for l in range(s):
-                    q = k * s + l
-                    left[p][q] = first * s + _compose_index(
-                        semi, j, l, "translation product semi part"
-                    )
-                    right[p][q] = first * s + right_second(j, l)
-
-    ident_first = group.index_of(Transform.identity(n))
-    if ident_first is None:
-        raise ConstructionError("group part lacks the identity transform")
-    identity_pair = ident_first * s + semi.label_of(e)
-    product = ensure_valid(DigroupTable(size, identity_pair, left, right))
-
-    eta = Mapping(
-        n, size, tuple(group.label_of(a) * s + semi.label_of(a) for a in range(n))
-    )
-    diagonal = SubsetMask.of(size, set(eta.image))
-    return ProductDigroup(product, pair_labels, eta, diagonal, group, semi)
+    prod = _translation_product(table)
+    ensure_valid(prod.table)
+    return prod
 
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
@@ -425,54 +457,29 @@ def right_translation_product(table: DigroupTable) -> ProductDigroup:
 
     The carrier pairs an x -> x ↼ a transform (first component, n distinct)
     with an x -> x ⇀ a transform (second component, the group part of the
-    right translations).  Because right translations reverse products under
-    composition, both pair products compose second components in reversed
-    order, and first components multiply through their element labels.  The
-    construction is self-verifying: the result must pass the axiom checker
-    and carry the diagonal embedding, otherwise it aborts loudly.
+    right translations).  It is the left translation product of the opposite
+    digroup, taken opposite again with its pairs relabelled (i, j) -> (j, i).
+    The construction is self-verifying: the result must pass the axiom
+    checker and carry the diagonal embedding, otherwise it aborts loudly.
     """
     n = table.order
     e = table.identity
-    group, semi = right_translations(table)
-    g = len(group)
-
-    size = n * g
-    left = [[0] * size for _ in range(size)]
-    right = [[0] * size for _ in range(size)]
-    pair_labels = tuple((i, j) for i in range(n) for j in range(g))
-    elem_of = [semi.transforms[i](e) for i in range(len(semi))]
-    if sorted(elem_of) != list(range(n)):
+    left_prod = _translation_product(_opposite(table))
+    group, semi = left_prod.first_parts, left_prod.second_parts
+    if sorted(f(e) for f in semi.transforms) != list(range(n)):
         raise ConstructionError("right translations are not labeled injectively")
-    for i in range(n):
-        a = elem_of[i]
-        for j in range(g):
-            p = i * g + j
-            for k in range(n):
-                c = elem_of[k]
-                lfirst = semi.label_of(table.left[a][c])
-                rfirst = semi.label_of(table.right[a][c])
-                for l in range(g):
-                    q = k * g + l
-                    second = _compose_index(
-                        group, l, j, "right translation group part"
-                    )
-                    left[p][q] = lfirst * g + second
-                    right[p][q] = rfirst * g + second
-
-    ident_second = group.index_of(Transform.identity(n))
-    if ident_second is None:
-        raise ConstructionError("right translation group part lacks the identity")
-    identity_pair = semi.label_of(e) * g + ident_second
+    g, size = len(group), left_prod.table.order
+    swap = Mapping(size, size, tuple(j * g + i for i, j in left_prod.pair_labels))
+    product = relabel(_opposite(left_prod.table), swap)
     try:
-        product = ensure_valid(DigroupTable(size, identity_pair, left, right))
+        ensure_valid(product)
     except ConstructionError as exc:
         raise ConstructionError(
             f"right translation product is not a digroup: {exc}"
         ) from exc
 
-    eta = Mapping(
-        n, size, tuple(semi.label_of(a) * g + group.label_of(a) for a in range(n))
-    )
+    pair_labels = tuple((i, j) for i in range(n) for j in range(g))
+    eta = Mapping(n, size, tuple(swap(p) for p in left_prod.eta.image))
     diagonal = SubsetMask.of(size, set(eta.image))
     prod = ProductDigroup(product, pair_labels, eta, diagonal, semi, group)
     _verify_embedding(table, prod, "right translation embedding")

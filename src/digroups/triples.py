@@ -35,7 +35,7 @@ from .tables import (
     ensure_valid,
     liu_inverse_map,
 )
-from .translations import Transform, TransformSet, left_translations
+from .translations import Transform, TransformSet, _pair_table, left_translations
 from .translations import phi as translation_phi
 
 # Triple law codes, in report order.
@@ -222,41 +222,16 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
         )
     g = triple.group_part
     s = triple.semi_part
-    ng, ns = len(g), len(s)
-    size = ng * ns
-
-    def gi(i: int, k: int) -> int:
-        idx = g.index_of(g.transforms[i].compose(g.transforms[k]))
-        if idx is None:
-            raise ConstructionError("group part not closed under composition")
-        return idx
-
-    def si(j: int, l: int) -> int:
-        idx = s.index_of(s.transforms[j].compose(s.transforms[l]))
-        if idx is None:
-            raise ConstructionError("semi part not closed under composition")
-        return idx
-
-    def sphi(j: int, l: int) -> int:
-        idx = s.index_of(g.transforms[triple.phi[j]].compose(s.transforms[l]))
-        if idx is None:
+    right_second = []
+    for pj in triple.phi:
+        pf = g.transforms[pj]
+        row = [s.index_of(pf.compose(h)) for h in s.transforms]
+        if None in row:
             raise ConstructionError("phi image does not absorb into the semi part")
-        return idx
-
-    left = [[0] * size for _ in range(size)]
-    right = [[0] * size for _ in range(size)]
-    for i in range(ng):
-        for j in range(ns):
-            p = i * ns + j
-            for k in range(ng):
-                first = gi(i, k)
-                for l in range(ns):
-                    q = k * ns + l
-                    left[p][q] = first * ns + si(j, l)
-                    right[p][q] = first * ns + sphi(j, l)
+        right_second.append(row)
 
     ident = g.index_of(Transform.identity(triple.carrier_size))
     if ident is None:
         raise ConstructionError("group part lacks the identity transform")
-    identity_pair = ident * ns + triple.right_unit
-    return ensure_valid(DigroupTable(size, identity_pair, left, right))
+    identity_pair = ident * len(s) + triple.right_unit
+    return ensure_valid(_pair_table(g, s, right_second, identity_pair))

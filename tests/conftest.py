@@ -30,4 +30,4 @@ def identity_suite():
 @pytest.fixture(scope="session")
 def catalogs():
     """Enumerations for orders 1..6, shared across the suite."""
-    return {n: enumerate_digroups(n, SearchOptions(workers=1)) for n in range(1, 7)}
+    return {n: enumerate_digroups(n, SearchOptions()) for n in range(1, 7)}

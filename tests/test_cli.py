@@ -47,6 +47,14 @@ def test_check_unparseable(tmp_path, capsys):
     assert run_cli(["check", str(path)]) == 2
 
 
+def test_check_rejects_booleans_as_integers(tmp_path, capsys):
+    doc = '{"order": true, "identity": false, "left": [[false]], "right": [[false]]}'
+    path = tmp_path / "booleans.json"
+    path.write_text(doc, encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 2
+    assert "'order'" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(capsys):
     assert run_cli(["check", "/nonexistent/file.json"]) == 2
 

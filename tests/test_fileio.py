@@ -1,5 +1,7 @@
 """Document round trips, parse errors, rendering, catalog lines."""
 
+import json
+
 import pytest
 
 from digroups import (
@@ -70,6 +72,32 @@ def test_parse_rejects_duplicate_labels():
     doc = '{"order": 2, "identity": 0, "left": [[0, 0], [1, 1]], "right": [[0, 1], [0, 1]], "labels": ["x", "x"]}'
     with pytest.raises(ParseError, match="distinct"):
         parse_digroup(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("digroup", ("order",)),
+        ("digroup", ("identity",)),
+        ("digroup", ("left", 1, 0)),
+        ("triple", ("right_unit",)),
+        ("triple", ("phi", 0)),
+    ],
+    ids=["order", "identity", "left-cell", "right_unit", "phi-entry"],
+)
+def test_parse_rejects_booleans_as_integers(kind, path):
+    # JSON booleans load as Python bools, which are ints; they must not pass
+    table = builtin("N")
+    if kind == "digroup":
+        doc, parse = json.loads(serialize_digroup(table)), parse_digroup
+    else:
+        doc, parse = json.loads(serialize_triple(triple_from_digroup(table))), parse_triple
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    with pytest.raises(ParseError, match=repr(path[0])):
+        parse(json.dumps(doc))
 
 
 def test_parse_rejects_non_json_and_non_object():

@@ -221,13 +221,12 @@ def test_count_by_class(catalogs):
     assert counts["total"] == 1 and counts["groups"] == 1
 
 
-def test_determinism_across_workers_and_runs(catalogs):
+def test_determinism_across_runs(catalogs):
     for n in range(1, 6):
-        one = catalog_lines(enumerate_digroups(n, SearchOptions(workers=1)))
-        four = catalog_lines(enumerate_digroups(n, SearchOptions(workers=4)))
-        again = catalog_lines(enumerate_digroups(n, SearchOptions(workers=1)))
-        assert one == four == again
-        assert one == catalog_lines(catalogs[n])
+        one = "\n".join(catalog_lines(enumerate_digroups(n))).encode("utf-8")
+        again = "\n".join(catalog_lines(enumerate_digroups(n))).encode("utf-8")
+        assert one == again
+        assert one == "\n".join(catalog_lines(catalogs[n])).encode("utf-8")
 
 
 def test_max_solutions_truncates(catalogs):
@@ -245,8 +244,6 @@ def test_order_caps():
 
 
 def test_bad_options():
-    with pytest.raises(ValueError):
-        SearchOptions(workers=0)
     with pytest.raises(ValueError):
         SearchOptions(mode="magic")
 

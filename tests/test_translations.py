@@ -1,12 +1,16 @@
 """Translation sets, the identity suite, products, and the diagonal embedding."""
 
+import hashlib
+
 import pytest
 
 from digroups import (
+    Mapping,
     Transform,
     builtin,
     cayley_embedding,
     cyclic_group,
+    digroup_from_triple,
     direct_product,
     find_isomorphism,
     is_homomorphism,
@@ -17,11 +21,16 @@ from digroups import (
     phi,
     restrict,
     right_translation_product,
+    relabel,
     right_translations,
+    serialize_digroup,
+    serialize_embedding,
     translation_product_digroup,
+    triple_from_digroup,
     validate_digroup,
     verify_translation_identities,
 )
+from digroups.translations import _opposite
 
 
 def test_left_translation_sizes(m_table, n_table):
@@ -213,3 +222,83 @@ def test_right_translation_product_identity_pool(identity_suite):
     for name, table in identity_suite.items():
         prod = right_translation_product(table)
         assert validate_digroup(prod.table).ok, name
+
+
+def test_opposite_digroup(identity_suite):
+    for name, table in identity_suite.items():
+        opposite = _opposite(table)
+        assert validate_digroup(opposite).ok, name
+        assert _opposite(opposite) == table, name
+        assert right_translations(table) == left_translations(opposite), name
+
+
+# sha256 of (cayley_embedding document, right translation product table with
+# its eta image and pair labels, digroup_from_triple of the extracted triple).
+# Any change to how the products are built must leave these bytes alone.
+PRODUCT_DIGESTS = {
+    "M": (
+        "4b9640d330a3c67f969445801bce2a91d6a60aa22ef006834d467a015740315b",
+        "8542434195b0195a0bc1a39ae5db643b613b04554a5f4ce7aa78235dd709ba0b",
+        "79bd9267b413d85410582b80295e2bbcc7ddae6456ae53343d56045abc7e04af",
+    ),
+    "N": (
+        "d7023efb5e19a5616d7eea21e76ed9603be957a75ec1712ae29f1596982a2838",
+        "598854eb85e90d1d9267d17422cfcf6621624d8a7825b47727ce67a27b33a5c2",
+        "e963cd4d135560deb33922ae7a2b15009a58d294d10eca28ba58104a78ca9ccb",
+    ),
+    "S3": (
+        "65bcad0086f35670b4bf3198f17331eeecd011e682f77d3e2e485f732f4328b9",
+        "809eb8e61ec39bdafac2f44b4382112b50f349e2f1a561dd8c6ecd524abc5d65",
+        "f6683e4d33014ca0a72a52cef10d12a19a1a3a74f6b9bc92af28fa68b0f45554",
+    ),
+    "Z4": (
+        "7f6acc09057a35fe67d56f836fb34e2a1ddcc7bf431e0fab87e4c2fffed64140",
+        "74cd0296fb58b4158e62065f3e9334a7310b4b7a698fc18c1bb4251096125261",
+        "54c87ba5b37ee4bc4a53b7bb4906af519002d6728c9fafff33475b93eb220880",
+    ),
+    "NxZ2": (
+        "232f907762e68e157b79b25e348d55655f35053768beb377e98f7644ba1c647a",
+        "4f3608d68d88eefee3aaf8eda228caf2be59f53f8c49afeb49eb69e7faced363",
+        "ecbdc2d0c9ad9dc8cfb46d8f1caee4ad977850a6399d37bfcc22e9aefcfe0677",
+    ),
+    "MxZ4": (
+        "4535ebb626163e8a55483e72e6c9d016524a08fbd7d0cfc03b17be5382095fac",
+        "f15b77a0236c40172a02a174e58d78a21d89eacc5fd5de7a9fea59473d3765f1",
+        "7ca715ad2e3f640aab8598782e94379edf9cd72244dc7c70bfb1cd4b08e9b07c",
+    ),
+    "shifted_N": (
+        "7e2aa7f0333fda176a05901f283788c049a91f17be2f5c7113c826d87af4f442",
+        "6643b44e8636386f88a599998f81605dde5953ce688e9c0d0e1b7bbb96cd21c7",
+        "d372537127318dac3ff41c86d36a09b407a89d4563ce97a40076829264c2b188",
+    ),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _stability_input(name: str):
+    if name == "NxZ2":
+        return direct_product(builtin("N"), builtin("Z2"))
+    if name == "MxZ4":
+        return direct_product(builtin("M"), builtin("Z4"))
+    if name == "shifted_N":  # the identity at index 3
+        return relabel(builtin("N"), Mapping(6, 6, (3, 0, 2, 5, 1, 4)))
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_DIGESTS))
+def test_products_are_byte_stable(name):
+    table = _stability_input(name)
+    right = right_translation_product(table)
+    got = (
+        _digest(serialize_embedding(cayley_embedding(table))),
+        _digest(
+            serialize_digroup(right.table) + repr(right.eta.image) + repr(right.pair_labels)
+        ),
+        _digest(serialize_digroup(digroup_from_triple(triple_from_digroup(table)))),
+    )
+    assert got == PRODUCT_DIGESTS[name]
+    assert _opposite(_opposite(table)) == table
+    assert validate_digroup(_opposite(table)).ok
