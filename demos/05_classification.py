@@ -2,8 +2,9 @@
 """Classifying all digroups of orders 1..6 up to isomorphism.
 
 The search fixes the identity at index 0, seeds the bar-unit cells,
-propagates the five diassociativity identities as cells fill in, prunes
-label-permutation duplicates, and deduplicates by exact canonical form.
+propagates the five diassociativity identities as cells fill in, and prunes
+every partial table that a label permutation makes lexicographically
+smaller, so each table it emits is already the canonical form of its class.
 Order 6 settles the two headline facts: 6 is the smallest order with a
 non-commutative digroup, and among non-groups there is exactly one
 non-commutative class there, the builtin N.

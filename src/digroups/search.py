@@ -9,12 +9,20 @@ diassociativity instance links the two inner-product cells of a triple
 outer cells must agree, which assigns a value, detects a conflict, or records
 an equality edge between two still-open cells.  Branches where some element
 can no longer reach a Liu inverse are cut, as are partial assignments that
-are lexicographically above one of their identity-fixing relabelings (exact
-canonical-form deduplication at the end keeps that pruning safe even if
-imperfect).
+are lexicographically above one of their identity-fixing relabelings.
+
+The seeded cells agree with their image under every identity-fixing
+relabeling, so comparing the open cells in canonical-key order is comparing
+whole flattened tables.  At a leaf every cell is known and every relabeling
+has been compared in full, so a table is emitted exactly when it is the
+lex-least member of its class, i.e. its own canonical form: one table per
+class and no dedup pass (orderly generation, McKay 1998).  Since the search
+branches on the first open cell in key order and tries values in ascending
+order, the tables come out strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
-unit constraints outright and must produce the identical class list.
+unit constraints outright, keeps the valid ones equal to their canonical_form,
+and must produce the identical class list.
 """
 
 from __future__ import annotations
@@ -45,20 +53,16 @@ _NAIVE_CAP = 3
 class SearchOptions:
     """Options for enumerate_digroups.
 
-    max_solutions truncates the returned catalog to its first entries in
-    canonical order; mode selects the propagating search or the brute-force
-    oracle; allow_large lifts the order cap of the propagating search.
+    mode selects the propagating search or the brute-force oracle;
+    allow_large lifts the order cap of the propagating search.
     """
 
-    max_solutions: Optional[int] = None
     mode: str = "propagating"
     allow_large: bool = False
 
     def __post_init__(self):
         if self.mode not in ("propagating", "naive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.max_solutions is not None and self.max_solutions < 1:
-            raise ValueError("max_solutions must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,11 @@ _ASSIGN, _FIRE, _EDGE = 0, 1, 2
 
 
 class _Search:
-    """Backtracking state for one order; identity is fixed at index 0."""
+    """Backtracking state for one order; identity is fixed at index 0.
+
+    run() returns the canonical table of every class, strictly increasing in
+    canonical-key order (see the module docstring for why the leaf check is
+    exact)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -333,25 +341,23 @@ class _Search:
 
 
 def _entries_from_solutions(n: int, solutions) -> list[CatalogEntry]:
-    by_key: dict[tuple, DigroupTable] = {}
+    """Catalog entries for canonical tables given in strictly increasing
+    canonical-key order; each is re-checked against the axioms."""
+    keys = [left + right for left, right in solutions]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ConstructionError("enumerator emitted tables out of canonical order")
+    entries = []
     for left, right in solutions:
         table = DigroupTable(n, 0, left, right)
         if not validate_digroup(table).ok:
             raise ConstructionError("enumerator emitted a non-digroup table")
-        canon = canonical_form(table).table
-        key = canon.left + canon.right
-        if key not in by_key:
-            by_key[key] = canon
-    entries = []
-    for key in sorted(by_key):
-        canon = by_key[key]
         entries.append(
             CatalogEntry(
-                canonical=canon,
+                canonical=table,
                 order=n,
-                commutative=is_commutative(canon),
-                group=is_group(canon),
-                subdigroup_count=len(all_subdigroups(canon)),
+                commutative=is_commutative(table),
+                group=is_group(table),
+                subdigroup_count=len(all_subdigroups(table)),
             )
         )
     return entries
@@ -365,25 +371,20 @@ def enumerate_digroups(
     if n < 1:
         raise UnsupportedOrderError("order must be >= 1")
     if opts.mode == "naive":
-        return naive_enumerate(n, max_solutions=opts.max_solutions)
+        return naive_enumerate(n)
     if n > _PROPAGATING_CAP and not opts.allow_large:
         raise UnsupportedOrderError(
             f"propagating enumeration is supported up to order {_PROPAGATING_CAP}; "
             "pass allow_large to go beyond (no timing promise)"
         )
-
-    entries = _entries_from_solutions(n, _Search(n).run())
-    if opts.max_solutions is not None:
-        entries = entries[: opts.max_solutions]
-    return entries
+    return _entries_from_solutions(n, _Search(n).run())
 
 
-def naive_enumerate(
-    n: int, max_solutions: Optional[int] = None
-) -> list[CatalogEntry]:
+def naive_enumerate(n: int) -> list[CatalogEntry]:
     """Brute-force oracle: scan every table pair consistent with the unit
-    constraints, filter by the axiom checker, deduplicate by canonical form.
-    Output format matches enumerate_digroups exactly."""
+    constraints and keep each one that passes the axiom checker and equals
+    its canonical_form.  The scan runs in canonical-key order, so the output
+    matches enumerate_digroups exactly."""
     if n > _NAIVE_CAP:
         raise UnsupportedOrderError(f"naive enumeration supports order <= {_NAIVE_CAP}")
     if n < 1:
@@ -405,14 +406,9 @@ def naive_enumerate(
         for x in range(1, n):
             right[x][0] = left[0][x]
         table = DigroupTable(n, 0, left, right)
-        if validate_digroup(table).ok:
-            solutions.append(
-                (tuple(map(tuple, left)), tuple(map(tuple, right)))
-            )
-    entries = _entries_from_solutions(n, solutions)
-    if max_solutions is not None:
-        entries = entries[:max_solutions]
-    return entries
+        if validate_digroup(table).ok and canonical_form(table).table == table:
+            solutions.append((table.left, table.right))
+    return _entries_from_solutions(n, solutions)
 
 
 def count_by_class(n: int, opts: SearchOptions = SearchOptions()) -> dict[str, int]:

@@ -373,31 +373,40 @@ def symmetric_group_3() -> DigroupTable:
     return DigroupTable(6, 0, rows, rows, labels)
 
 
+def _pair_table(
+    first_left: Sequence[Sequence[int]],
+    first_right: Sequence[Sequence[int]],
+    second_left: Sequence[Sequence[int]],
+    second_right: Sequence[Sequence[int]],
+    identity: tuple[int, int],
+    labels: Optional[Sequence[str]] = None,
+) -> DigroupTable:
+    """The unvalidated componentwise table on pairs (i, j) -> i * s + j, with
+    s = len(second_left).  Each product takes its first component from its
+    first index table and its second from its second: (i, j) ⇀ (k, l) is
+    (first_left[i][k], second_left[j][l]), and likewise for ↼."""
+    g, s = len(first_left), len(second_left)
+    left, right = [], []
+    for i in range(g):
+        for j in range(s):
+            lrow, rrow = [], []
+            for k in range(g):
+                lbase, rbase = first_left[i][k] * s, first_right[i][k] * s
+                lrow += [lbase + v for v in second_left[j]]
+                rrow += [rbase + v for v in second_right[j]]
+            left.append(lrow)
+            right.append(rrow)
+    return DigroupTable(g * s, identity[0] * s + identity[1], left, right, labels)
+
+
 def direct_product(d1: DigroupTable, d2: DigroupTable) -> DigroupTable:
     """Componentwise product digroup on pairs (x1, x2) -> x1 * n2 + x2."""
-    n1, n2 = d1.order, d2.order
-    n = n1 * n2
-
-    def pair(x1, x2):
-        return x1 * n2 + x2
-
-    left = [[0] * n for _ in range(n)]
-    right = [[0] * n for _ in range(n)]
-    for x1 in range(n1):
-        for x2 in range(n2):
-            for y1 in range(n1):
-                for y2 in range(n2):
-                    p, q = pair(x1, x2), pair(y1, y2)
-                    left[p][q] = pair(d1.left[x1][y1], d2.left[x2][y2])
-                    right[p][q] = pair(d1.right[x1][y1], d2.right[x2][y2])
     labels = None
     if d1.labels is not None and d2.labels is not None:
-        labels = tuple(
-            f"({d1.labels[x1]},{d2.labels[x2]})"
-            for x1 in range(n1)
-            for x2 in range(n2)
-        )
-    return DigroupTable(n, pair(d1.identity, d2.identity), left, right, labels)
+        labels = [f"({a},{b})" for a in d1.labels for b in d2.labels]
+    return _pair_table(
+        d1.left, d1.right, d2.left, d2.right, (d1.identity, d2.identity), labels
+    )
 
 
 def builtin(name: str) -> DigroupTable:

@@ -37,6 +37,7 @@ from .tables import (
     MalformedTableError,
     ValidationReport,
     Violation,
+    _pair_table,
     ensure_valid,
     liu_inverse_map,
 )
@@ -210,13 +211,14 @@ def phi(table: DigroupTable) -> Mapping:
     Well-defined because a semi-part transform determines its element as the
     image of e; sends the transform of e to the identity transform.
     """
-    group, semi = left_translations(table)
-    e = table.identity
-    image = []
-    for f in semi.transforms:
-        a = f(e)
-        image.append(group.label_of(a))
-    return Mapping(len(semi), len(group), tuple(image))
+    return _phi(left_translations(table), table.identity)
+
+
+def _phi(pair: TranslationPair, e: Element) -> Mapping:
+    """phi over an already built pair of left translation sets."""
+    group, semi = pair
+    image = tuple(group.label_of(f(e)) for f in semi.transforms)
+    return Mapping(len(semi), len(group), image)
 
 
 def _first_violation(store: dict, law: str, witnesses: tuple[int, ...]) -> None:
@@ -234,9 +236,9 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     """
     n = table.order
     e = table.identity
-    group, semi = left_translations(table)
+    group, semi = pair = left_translations(table)
     liu = liu_inverse_map(table)
-    phi_map = phi(table)
+    phi_map = _phi(pair, e)
     ident = Transform.identity(n)
 
     def grp(a: Element) -> Transform:
@@ -340,38 +342,12 @@ def _composition_table(ts: TransformSet, what: str) -> list[list[int]]:
     return rows
 
 
-def _pair_table(
-    group: TransformSet,
-    semi: TransformSet,
-    right_second: list[list[int]],
-    identity_pair: int,
-) -> DigroupTable:
-    """The unvalidated pair table on (group index, semi index) pairs, indexed
-    (i, j) -> i * |semi| + j.  Both products compose first components; the
-    left product composes second components, the right product takes its
-    second component (j, l) -> right_second[j][l]."""
-    g, s = len(group), len(semi)
-    first = _composition_table(group, "group part")
-    second = _composition_table(semi, "semi part")
-    left, right = [], []
-    for i in range(g):
-        for j in range(s):
-            lrow, rrow = [], []
-            for k in range(g):
-                base = first[i][k] * s
-                lrow += [base + v for v in second[j]]
-                rrow += [base + v for v in right_second[j]]
-            left.append(lrow)
-            right.append(rrow)
-    return DigroupTable(g * s, identity_pair, left, right)
-
-
 def _translation_product(table: DigroupTable) -> ProductDigroup:
     """translation_product_digroup without the final axiom check."""
     n = table.order
     e = table.identity
-    group, semi = left_translations(table)
-    phi_map = phi(table)
+    group, semi = pair = left_translations(table)
+    phi_map = _phi(pair, e)
     s = len(semi)
 
     # The right product's second component is the semi transform of b ↼ d,
@@ -395,8 +371,11 @@ def _translation_product(table: DigroupTable) -> ProductDigroup:
     ident_first = group.index_of(Transform.identity(n))
     if ident_first is None:
         raise ConstructionError("group part lacks the identity transform")
-    identity_pair = ident_first * s + semi.label_of(e)
-    product = _pair_table(group, semi, right_second, identity_pair)
+    first = _composition_table(group, "group part")
+    second = _composition_table(semi, "semi part")
+    product = _pair_table(
+        first, first, second, right_second, (ident_first, semi.label_of(e))
+    )
 
     pair_labels = tuple((i, j) for i in range(len(group)) for j in range(s))
     eta_image = tuple(group.label_of(a) * s + semi.label_of(a) for a in range(n))

@@ -32,11 +32,17 @@ from .tables import (
     MalformedTableError,
     ValidationReport,
     Violation,
+    _pair_table,
     ensure_valid,
     liu_inverse_map,
 )
-from .translations import Transform, TransformSet, _pair_table, left_translations
-from .translations import phi as translation_phi
+from .translations import (
+    Transform,
+    TransformSet,
+    _composition_table,
+    _phi,
+    left_translations,
+)
 
 # Triple law codes, in report order.
 GROUP_BIJECTION = "GROUP_BIJECTION"
@@ -189,10 +195,10 @@ def triple_from_digroup(table: DigroupTable) -> StandardTriple:
     semi part are its left translation sets, the right unit is the semi
     transform of e, the left inverse of the transform of a is the transform
     of the Liu inverse of a, and phi bridges the two sets."""
-    group, semi = left_translations(table)
+    group, semi = pair = left_translations(table)
     e = table.identity
     liu = liu_inverse_map(table)
-    phi_map = translation_phi(table)
+    phi_map = _phi(pair, e)
     left_inverse = []
     for f in semi.transforms:
         a = f(e)
@@ -233,5 +239,8 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
     ident = g.index_of(Transform.identity(triple.carrier_size))
     if ident is None:
         raise ConstructionError("group part lacks the identity transform")
-    identity_pair = ident * len(s) + triple.right_unit
-    return ensure_valid(_pair_table(g, s, right_second, identity_pair))
+    first = _composition_table(g, "group part")
+    second = _composition_table(s, "semi part")
+    return ensure_valid(
+        _pair_table(first, first, second, right_second, (ident, triple.right_unit))
+    )

@@ -157,20 +157,50 @@ def test_unpruned_search_matches_orbit_stabilizer_counts(n, labeled, catalogs):
     # 261 labeled tables; left out of the routine suite for speed.)
     import math
 
-    from digroups import automorphisms
-    from digroups.search import _Search, _entries_from_solutions
+    from digroups import DigroupTable, automorphisms
+    from digroups.search import _Search
 
     s = _Search(n)
     s.perms = ()
     solutions = s.run()
     assert len(solutions) == labeled
     assert len(set(solutions)) == labeled
-    entries = _entries_from_solutions(n, solutions)
-    assert [e.canonical for e in entries] == [e.canonical for e in catalogs[n]]
-    predicted = sum(
-        math.factorial(n - 1) // len(automorphisms(e.canonical)) for e in entries
-    )
+    classes = {
+        canonical_form(DigroupTable(n, 0, left, right)).table for left, right in solutions
+    }
+    canon = sorted(classes, key=lambda t: t.left + t.right)
+    assert canon == [e.canonical for e in catalogs[n]]
+    predicted = sum(math.factorial(n - 1) // len(automorphisms(t)) for t in canon)
     assert predicted == labeled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_search_emits_canonical_tables_in_order(n):
+    # The leaf check of the symmetry pruning is the only canonicity test on
+    # the enumeration path: every emitted table must already be its own
+    # canonical form, and the list strictly increasing in key order.
+    from digroups import DigroupTable
+    from digroups.search import _Search
+
+    solutions = _Search(n).run()
+    for left, right in solutions:
+        table = DigroupTable(n, 0, left, right)
+        assert canonical_form(table).table == table
+    keys = [left + right for left, right in solutions]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_out_of_order_solutions_are_rejected():
+    from digroups import ConstructionError
+    from digroups.search import _entries_from_solutions
+
+    z2, m = builtin("Z2"), builtin("M")
+    ordered = sorted([(z2.left, z2.right), (m.left, m.right)], key=lambda s: s[0] + s[1])
+    assert len(_entries_from_solutions(2, ordered)) == 2
+    with pytest.raises(ConstructionError):
+        _entries_from_solutions(2, ordered[::-1])
+    with pytest.raises(ConstructionError):
+        _entries_from_solutions(2, ordered[:1] * 2)
 
 
 def test_instance_encoding_matches_axiom_checker():
@@ -227,11 +257,6 @@ def test_determinism_across_runs(catalogs):
         again = "\n".join(catalog_lines(enumerate_digroups(n))).encode("utf-8")
         assert one == again
         assert one == "\n".join(catalog_lines(catalogs[n])).encode("utf-8")
-
-
-def test_max_solutions_truncates(catalogs):
-    first = enumerate_digroups(4, SearchOptions(max_solutions=2))
-    assert [e.canonical for e in first] == [e.canonical for e in catalogs[4][:2]]
 
 
 def test_order_caps():

@@ -302,3 +302,43 @@ def test_products_are_byte_stable(name):
     assert got == PRODUCT_DIGESTS[name]
     assert _opposite(_opposite(table)) == table
     assert validate_digroup(_opposite(table)).ok
+
+
+# sha256 of serialize_digroup(direct_product(a, b)) for every ordered pair of
+# five factors.  Any change to how direct products are built must leave these
+# bytes alone.
+DIRECT_PRODUCT_DIGESTS = {
+    ("M", "M"): "cbf93a3239ae9874b5f6f478e743486b0a7e6526fcc10e633f9ba27de0345757",
+    ("M", "N"): "150c1f758f63036bab9592947293947d12b11bc441562755f688c476ea970c80",
+    ("M", "Z2"): "53e7f49e9120fa859b92ebc89c2e9229d60e917659b6be3bd0493a5a1672f2ec",
+    ("M", "S3"): "97d3616eedeadcff1df2aae8a9d45f784d4c3d68596bdc6decb137a85ed44c10",
+    ("M", "trivial(3)"): "2b9de4c380e925d947cb447d53f57bb42897d40c4cfe37602bace5df6c1b7a4e",
+    ("N", "M"): "824a2bcebe71536f6db97a8d2471a4f1af68766f35f90bce1410bbb1be7fe5f6",
+    ("N", "N"): "ee15830667cde38285326cd4a70023cfeddd1eaf675f918950a901e46a0bdbb0",
+    ("N", "Z2"): "b0f7e65e885eb970f461ebad2abf3a865351b020c787ab4025db1721763b1a95",
+    ("N", "S3"): "0b8a0708bf04d6a74e1043856ab205daf9296d6f368ad149226c4345ae6603fe",
+    ("N", "trivial(3)"): "31ae2ed42e1a88729db6b90d6c6774ff1014c7165386e50ce5ee806246bbd466",
+    ("Z2", "M"): "087a7160a75be6a5304a3b3ff7a47e7c704e1aa58c123b7978045d0b18c315f6",
+    ("Z2", "N"): "e963cd4d135560deb33922ae7a2b15009a58d294d10eca28ba58104a78ca9ccb",
+    ("Z2", "Z2"): "6e4a771a64bb37f32cf37ea8352be64b632973acc7831eb67146a06f5b4f4d3e",
+    ("Z2", "S3"): "05d6685b654774352395f9838ac61974a4d25db84178e3d1383389354a343b5b",
+    ("Z2", "trivial(3)"): "5a14967860f533b19e366f73ba71021e06fd6d04b774d478e050ad87fff38d47",
+    ("S3", "M"): "2b4ff5457b8d640be019c63e58a74e1bfd6d88268f7659e724692d8eea0964b1",
+    ("S3", "N"): "df775258cffb8058ec7121e328d5c3387878071e276c454713cb4005c980bd5b",
+    ("S3", "Z2"): "95b56e5f12f86180ee99f1ffcc077a805867c67d279d5aed6c3793194f984bb5",
+    ("S3", "S3"): "43c534c597ad76d811d6849c987cb1ea8024be7002a78edf06ce6798376a4dd1",
+    ("S3", "trivial(3)"): "0efa1772c3700311c3f3bb2331e647b8ae92f59416c37beefa32302f1da928d5",
+    ("trivial(3)", "M"): "2b9de4c380e925d947cb447d53f57bb42897d40c4cfe37602bace5df6c1b7a4e",
+    ("trivial(3)", "N"): "e4fab8e01c3c1dd2b2c910945907759824412a3dd34fff758c84837ee75c74d8",
+    ("trivial(3)", "Z2"): "4259582dd0f8a214abd58c2f7db06415d97cd8ebb5e850af5b8d62b149426fbb",
+    ("trivial(3)", "S3"): "a7a58dadc1f8309aaac9b8acb2afc7d370a591e4e19259613189718744ce66f3",
+    ("trivial(3)", "trivial(3)"): "357410daaca18d6f56c8a20a9fae1e12daaffe6a207f561635edc61d0209ae0c",
+}
+
+
+def test_direct_products_are_byte_stable():
+    got = {
+        (a, b): _digest(serialize_digroup(direct_product(builtin(a), builtin(b))))
+        for a, b in DIRECT_PRODUCT_DIGESTS
+    }
+    assert got == DIRECT_PRODUCT_DIGESTS
