@@ -53,6 +53,9 @@ DIGROUP_LAWS = (
     INVERSE_MISSING,
 )
 
+# validate_digroup builds n x n x n tensors: order 200 peaks near 530 MB.
+_VALIDATE_CAP = 200
+
 
 class DigroupError(Exception):
     """Base class for all errors raised by this package."""
@@ -224,8 +227,14 @@ def validate_digroup(table: DigroupTable) -> ValidationReport:
     Returns a deterministic report: per broken law, one violation carrying the
     lexicographically first witness.  Structural malformation never reaches
     this function; it is rejected by the :class:`DigroupTable` constructor.
+    Orders above ``_VALIDATE_CAP`` raise UnsupportedOrderError, since the
+    check's memory grows as n^3.
     """
     n = table.order
+    if n > _VALIDATE_CAP:
+        raise UnsupportedOrderError(
+            f"axiom check supports order <= {_VALIDATE_CAP}, got {n}"
+        )
     e = table.identity
     L = np.array(table.left, dtype=np.int64)
     R = np.array(table.right, dtype=np.int64)

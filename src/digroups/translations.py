@@ -15,6 +15,11 @@ transform of a to its group-part transform is a semigroup homomorphism.
 Composing the two families pairwise turns (group part) x (semi part) into a
 digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
+The two sets with phi are the digroup's standard triple (see triples.py), so
+this module has one builder for the pair digroup of triple data, shared with
+``digroup_from_triple``, and the identity suite checks only the laws that
+read the digroup's products or Liu inverses before running the triple laws
+on the extracted triple.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, and the mirrored product is its left product, taken opposite
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .morphisms import find_isomorphism, is_homomorphism, relabel
 from .subdigroups import SubsetMask, is_subdigroup, restrict
@@ -42,24 +47,14 @@ from .tables import (
     liu_inverse_map,
 )
 
-# Translation identity suite law codes, in report order.
+# Translation identity suite law codes, in report order.  The laws that only
+# involve transforms are the standard-triple laws of the extracted triple.
 TRANS_GRP_LPROD = "TRANS_GRP_LPROD"  # grp(a⇀b) = grp(a)∘grp(b)
 TRANS_GRP_RPROD = "TRANS_GRP_RPROD"  # grp(a↼b) = grp(a)∘grp(b)
 TRANS_MIXED_RPROD = "TRANS_MIXED_RPROD"  # semi(a↼b) = grp(a)∘semi(b)
 TRANS_GRP_IDENTITY = "TRANS_GRP_IDENTITY"  # grp(e) = id
 TRANS_GRP_INVERSE = "TRANS_GRP_INVERSE"  # grp(ǎ)∘grp(a) = id = grp(a)∘grp(ǎ)
 TRANS_SEMI_PROD = "TRANS_SEMI_PROD"  # semi(a⇀b) = semi(a)∘semi(b)
-TRANS_SEMI_MIXED = "TRANS_SEMI_MIXED"  # semi(a)∘semi(b) = semi(a)∘grp(b)
-TRANS_SEMI_RIGHT_UNIT = "TRANS_SEMI_RIGHT_UNIT"  # semi(a)∘semi(e) = semi(a)
-TRANS_SEMI_UNIT_SWAP = "TRANS_SEMI_UNIT_SWAP"  # semi(e)∘semi(a) = grp(a)∘semi(e)
-TRANS_SEMI_LEFT_INVERSE = "TRANS_SEMI_LEFT_INVERSE"  # semi(ǎ)∘semi(a) = semi(e)
-TRANS_SEMI_MIXED_INVERSE = "TRANS_SEMI_MIXED_INVERSE"  # grp(a)∘semi(ǎ) = semi(e)
-PHI_IDENTITY = "PHI_IDENTITY"  # phi(semi(e)) = id
-PHI_HOMOMORPHISM = "PHI_HOMOMORPHISM"  # phi(f∘g) = phi(f)∘phi(g)
-PHI_UNIT_SWAP = "PHI_UNIT_SWAP"  # semi(e)∘semi(a) = phi(semi(a))∘semi(e)
-PHI_LEFT_INVERSE = "PHI_LEFT_INVERSE"  # phi(semi(a))∘semi(ǎ) = semi(e)
-PHI_ABSORB = "PHI_ABSORB"  # semi(a)∘phi(semi(b)) = semi(a)∘semi(b)
-PHI_COMPOSE = "PHI_COMPOSE"  # phi(phi(semi(a))∘semi(b)) = phi(semi(a))∘phi(semi(b))
 
 TRANSLATION_LAWS = (
     TRANS_GRP_LPROD,
@@ -68,17 +63,6 @@ TRANSLATION_LAWS = (
     TRANS_GRP_IDENTITY,
     TRANS_GRP_INVERSE,
     TRANS_SEMI_PROD,
-    TRANS_SEMI_MIXED,
-    TRANS_SEMI_RIGHT_UNIT,
-    TRANS_SEMI_UNIT_SWAP,
-    TRANS_SEMI_LEFT_INVERSE,
-    TRANS_SEMI_MIXED_INVERSE,
-    PHI_IDENTITY,
-    PHI_HOMOMORPHISM,
-    PHI_UNIT_SWAP,
-    PHI_LEFT_INVERSE,
-    PHI_ABSORB,
-    PHI_COMPOSE,
 )
 
 
@@ -229,16 +213,22 @@ def _first_violation(store: dict, law: str, witnesses: tuple[int, ...]) -> None:
 def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     """Exhaustively check every translation identity over all element pairs.
 
-    Covers the compatibility of translations with both products, the group
-    structure of the group part, the right unit and left inverses of the semi
-    part, and every phi law.  One violation per law, first witness in
-    lexicographic (a, b) order.
+    The input must be a validated digroup (``liu_inverse_map`` requires it).
+    The laws that read the table's products or Liu inverses come first: the
+    compatibility of translations with both products and the group structure
+    of the group part, one violation per law, first witness in lexicographic
+    (a, b) order.  The laws among transforms alone (the right unit and left
+    inverses of the semi part and every phi law) are the standard-triple laws
+    of the extracted triple; ``validate_triple`` checks them and its
+    violations, with transform-index witnesses, are appended.
     """
+    from .triples import triple_from_digroup, validate_triple  # triples imports us
+
     n = table.order
     e = table.identity
-    group, semi = pair = left_translations(table)
+    triple = triple_from_digroup(table)
+    group, semi = triple.group_part, triple.semi_part
     liu = liu_inverse_map(table)
-    phi_map = _phi(pair, e)
     ident = Transform.identity(n)
 
     def grp(a: Element) -> Transform:
@@ -251,38 +241,21 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
 
     if grp(e).image != ident.image:
         _first_violation(found, TRANS_GRP_IDENTITY, (e,))
-    if phi_map(semi.label_of(e)) != group.index_of(ident):
-        _first_violation(found, PHI_IDENTITY, (e,))
-
     for a in range(n):
         ai = liu(a)
         if grp(ai).compose(grp(a)).image != ident.image or grp(a).compose(
             grp(ai)
         ).image != ident.image:
             _first_violation(found, TRANS_GRP_INVERSE, (a,))
-        if sem(a).compose(sem(e)).image != sem(a).image:
-            _first_violation(found, TRANS_SEMI_RIGHT_UNIT, (a,))
-        if sem(e).compose(sem(a)).image != grp(a).compose(sem(e)).image:
-            _first_violation(found, TRANS_SEMI_UNIT_SWAP, (a,))
-        if sem(ai).compose(sem(a)).image != sem(e).image:
-            _first_violation(found, TRANS_SEMI_LEFT_INVERSE, (a,))
-        if grp(a).compose(sem(ai)).image != sem(e).image:
-            _first_violation(found, TRANS_SEMI_MIXED_INVERSE, (a,))
-        pa = group.transforms[phi_map(semi.label_of(a))]
-        if sem(e).compose(sem(a)).image != pa.compose(sem(e)).image:
-            _first_violation(found, PHI_UNIT_SWAP, (a,))
-        if pa.compose(sem(ai)).image != sem(e).image:
-            _first_violation(found, PHI_LEFT_INVERSE, (a,))
 
     for a in range(n):
-        pa = group.transforms[phi_map(semi.label_of(a))]
         for b in range(n):
             lab = table.left[a][b]
             rab = table.right[a][b]
-            pb = group.transforms[phi_map(semi.label_of(b))]
-            if grp(lab).image != grp(a).compose(grp(b)).image:
+            ab = grp(a).compose(grp(b)).image
+            if grp(lab).image != ab:
                 _first_violation(found, TRANS_GRP_LPROD, (a, b))
-            if grp(rab).image != grp(a).compose(grp(b)).image:
+            if grp(rab).image != ab:
                 _first_violation(found, TRANS_GRP_RPROD, (a, b))
             # The composite grp(a)∘semi(b) evaluates x to a↼(b⇀x), which the
             # mixed associativity law rewrites to (a↼b)⇀x: the semi transform
@@ -292,22 +265,9 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
                 _first_violation(found, TRANS_MIXED_RPROD, (a, b))
             if sem(lab).image != sem(a).compose(sem(b)).image:
                 _first_violation(found, TRANS_SEMI_PROD, (a, b))
-            if sem(a).compose(sem(b)).image != sem(a).compose(grp(b)).image:
-                _first_violation(found, TRANS_SEMI_MIXED, (a, b))
-            # phi is a homomorphism: the composite of two semi transforms is
-            # the semi transform of a⇀b, so compare phi there.
-            if phi_map(semi.label_of(lab)) != group.index_of(pa.compose(pb)):
-                _first_violation(found, PHI_HOMOMORPHISM, (a, b))
-            if sem(a).compose(pb).image != sem(a).compose(sem(b)).image:
-                _first_violation(found, PHI_ABSORB, (a, b))
-            mixed = pa.compose(sem(b))
-            mixed_idx = semi.index_of(mixed)
-            if mixed_idx is None or phi_map(mixed_idx) != group.index_of(
-                pa.compose(pb)
-            ):
-                _first_violation(found, PHI_COMPOSE, (a, b))
 
     ordered = [found[law] for law in TRANSLATION_LAWS if law in found]
+    ordered += validate_triple(triple).violations
     return ValidationReport.from_violations(ordered)
 
 
@@ -342,40 +302,50 @@ def _composition_table(ts: TransformSet, what: str) -> list[list[int]]:
     return rows
 
 
+def _triple_table(
+    group: TransformSet, semi: TransformSet, phi: Sequence[int], right_unit: int
+) -> DigroupTable:
+    """The unvalidated pair digroup of standard-triple data: pairs (i, j) of
+    group and semi indices, the left product composing both components, the
+    right product composing first components and setting the second to
+    phi(f)∘g, identity (identity transform, right unit)."""
+    ident = group.index_of(Transform.identity(group.carrier_size))
+    if ident is None:
+        raise ConstructionError("group part lacks the identity transform")
+    first = _composition_table(group, "group part")
+    second = _composition_table(semi, "semi part")
+    right_second = []
+    for pj in phi:
+        pf = group.transforms[pj]
+        row = [semi.index_of(pf.compose(h)) for h in semi.transforms]
+        if None in row:
+            raise ConstructionError("phi image does not absorb into the semi part")
+        right_second.append(row)
+    return _pair_table(first, first, second, right_second, (ident, right_unit))
+
+
 def _translation_product(table: DigroupTable) -> ProductDigroup:
     """translation_product_digroup without the final axiom check."""
     n = table.order
     e = table.identity
     group, semi = pair = left_translations(table)
-    phi_map = _phi(pair, e)
     s = len(semi)
+    product = _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
 
     # The right product's second component is the semi transform of b ↼ d,
     # where b and d are the second components' labels recovered as f(e); the
-    # transform route phi(f)∘g must agree with it.
-    right_second = []
+    # transform route phi(f)∘g that built it must agree.  Cell [j][l] is the
+    # product of the pairs (0, j) and (0, l), so that route's value is the
+    # cell's second component, its index mod |semi|.
     for j, f in enumerate(semi.transforms):
-        pf = group.transforms[phi_map(j)]
-        row = []
-        for h in semi.transforms:
+        for l, h in enumerate(semi.transforms):
             by_label = semi.label_of(table.right[f(e)][h(e)])
-            by_transform = semi.index_of(pf.compose(h))
+            by_transform = product.right[j][l] % s
             if by_transform != by_label:
                 raise ConstructionError(
                     "right product second component is not well-defined: "
                     f"label route gives {by_label}, transform route {by_transform}"
                 )
-            row.append(by_label)
-        right_second.append(row)
-
-    ident_first = group.index_of(Transform.identity(n))
-    if ident_first is None:
-        raise ConstructionError("group part lacks the identity transform")
-    first = _composition_table(group, "group part")
-    second = _composition_table(semi, "semi part")
-    product = _pair_table(
-        first, first, second, right_second, (ident_first, semi.label_of(e))
-    )
 
     pair_labels = tuple((i, j) for i in range(len(group)) for j in range(s))
     eta_image = tuple(group.label_of(a) * s + semi.label_of(a) for a in range(n))

@@ -18,7 +18,11 @@ standard triple yields a digroup on (group) x (semigroup) pairs:
     (α, f) ⇀ (β, g) = (α∘β, f∘g)
     (α, f) ↼ (β, g) = (α∘β, phi(f)∘g)
 
-with identity (1, e) and Liu inverse (α⁻¹, linv(f)).
+with identity (1, e) and Liu inverse (α⁻¹, linv(f)).  The translation
+product is this construction on the extracted triple, built by the same
+table builder, and ``verify_translation_identities`` reports the violations
+of these laws on the extracted triple.  Each law code has one meaning across
+both modules.
 """
 
 from __future__ import annotations
@@ -26,39 +30,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tables import (
-    ConstructionError,
     DigroupTable,
     DigroupError,
     MalformedTableError,
     ValidationReport,
     Violation,
-    _pair_table,
     ensure_valid,
     liu_inverse_map,
 )
 from .translations import (
     Transform,
     TransformSet,
-    _composition_table,
     _phi,
+    _triple_table,
     left_translations,
 )
 
 # Triple law codes, in report order.
-GROUP_BIJECTION = "GROUP_BIJECTION"
-GROUP_IDENTITY = "GROUP_IDENTITY"
-GROUP_CLOSURE = "GROUP_CLOSURE"
-GROUP_INVERSE = "GROUP_INVERSE"
-SEMI_CLOSURE = "SEMI_CLOSURE"
-SEMI_RIGHT_UNIT = "SEMI_RIGHT_UNIT"
-SEMI_LEFT_INVERSE = "SEMI_LEFT_INVERSE"
-PHI_HOMOMORPHISM = "PHI_HOMOMORPHISM"
-PHI_ABSORB = "PHI_ABSORB"
-PHI_UNIT_ACTS = "PHI_UNIT_ACTS"
-PHI_UNIT_SWAP = "PHI_UNIT_SWAP"
-PHI_LEFT_INVERSE = "PHI_LEFT_INVERSE"
-PHI_RIGHT_ABSORB = "PHI_RIGHT_ABSORB"
-PHI_COMPOSE = "PHI_COMPOSE"
+GROUP_BIJECTION = "GROUP_BIJECTION"  # every α is a bijection
+GROUP_IDENTITY = "GROUP_IDENTITY"  # 1 ∈ G
+GROUP_CLOSURE = "GROUP_CLOSURE"  # α∘β ∈ G
+GROUP_INVERSE = "GROUP_INVERSE"  # α⁻¹ ∈ G
+SEMI_CLOSURE = "SEMI_CLOSURE"  # f∘g ∈ S
+SEMI_RIGHT_UNIT = "SEMI_RIGHT_UNIT"  # f∘e = f
+SEMI_LEFT_INVERSE = "SEMI_LEFT_INVERSE"  # linv(f)∘f = e
+PHI_HOMOMORPHISM = "PHI_HOMOMORPHISM"  # phi(f∘g) = phi(f)∘phi(g)
+PHI_ABSORB = "PHI_ABSORB"  # phi(f)∘g ∈ S
+PHI_UNIT_ACTS = "PHI_UNIT_ACTS"  # phi(e)∘g = g
+PHI_UNIT_SWAP = "PHI_UNIT_SWAP"  # e∘f = phi(f)∘e
+PHI_LEFT_INVERSE = "PHI_LEFT_INVERSE"  # phi(f)∘linv(f) = e
+PHI_RIGHT_ABSORB = "PHI_RIGHT_ABSORB"  # f∘phi(g) = f∘g
+PHI_COMPOSE = "PHI_COMPOSE"  # phi(phi(f)∘g) = phi(f)∘phi(g)
 
 TRIPLE_LAWS = (
     GROUP_BIJECTION,
@@ -226,21 +228,8 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
         raise TripleValidationError(
             "triple fails validation: " + "; ".join(v.law for v in report.violations)
         )
-    g = triple.group_part
-    s = triple.semi_part
-    right_second = []
-    for pj in triple.phi:
-        pf = g.transforms[pj]
-        row = [s.index_of(pf.compose(h)) for h in s.transforms]
-        if None in row:
-            raise ConstructionError("phi image does not absorb into the semi part")
-        right_second.append(row)
-
-    ident = g.index_of(Transform.identity(triple.carrier_size))
-    if ident is None:
-        raise ConstructionError("group part lacks the identity transform")
-    first = _composition_table(g, "group part")
-    second = _composition_table(s, "semi part")
     return ensure_valid(
-        _pair_table(first, first, second, right_second, (ident, triple.right_unit))
+        _triple_table(
+            triple.group_part, triple.semi_part, triple.phi, triple.right_unit
+        )
     )

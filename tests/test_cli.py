@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from digroups import builtin, parse_digroup, parse_triple, run_cli, serialize_digroup
+from digroups import (
+    builtin,
+    cyclic_group,
+    parse_digroup,
+    parse_triple,
+    run_cli,
+    serialize_digroup,
+)
 
 
 @pytest.fixture()
@@ -53,6 +60,21 @@ def test_check_rejects_booleans_as_integers(tmp_path, capsys):
     path.write_text(doc, encoding="utf-8")
     assert run_cli(["check", str(path)]) == 2
     assert "'order'" in capsys.readouterr().err
+
+
+def test_check_rejects_orders_beyond_the_validator_cap(tmp_path, capsys):
+    path = tmp_path / "z201.json"
+    path.write_text(serialize_digroup(cyclic_group(201)), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_embed_rejects_a_product_beyond_the_validator_cap(tmp_path, capsys):
+    # Z20 is valid, but its translation product has order 400
+    path = tmp_path / "z20.json"
+    path.write_text(serialize_digroup(builtin("Z20")), encoding="utf-8")
+    assert run_cli(["embed", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from digroups import (
+    DigroupTable,
     Mapping,
     Transform,
     builtin,
@@ -30,7 +31,9 @@ from digroups import (
     validate_digroup,
     verify_translation_identities,
 )
-from digroups.translations import _opposite
+from digroups.tables import INVERSE_MISSING
+from digroups.translations import TRANSLATION_LAWS, _opposite
+from digroups.triples import TRIPLE_LAWS
 
 
 def test_left_translation_sizes(m_table, n_table):
@@ -108,6 +111,24 @@ def test_translation_identity_suite_builtin(name):
 
 def test_translation_identity_suite_product(identity_suite):
     assert verify_translation_identities(identity_suite["MxZ2"]).ok
+
+
+def test_translation_and_triple_law_codes_are_disjoint():
+    assert set(TRANSLATION_LAWS).isdisjoint(TRIPLE_LAWS)
+
+
+def test_identity_suite_flags_a_corrupted_cell(n_table):
+    # one changed cell of N that keeps every Liu inverse, so the suite runs
+    left = [list(row) for row in n_table.left]
+    left[2][3] = 2
+    broken = DigroupTable(6, n_table.identity, left, n_table.right)
+    assert INVERSE_MISSING not in {v.law for v in validate_digroup(broken).violations}
+    report = verify_translation_identities(broken)
+    assert not report.ok
+    laws = [v.law for v in report.violations]
+    assert set(laws) <= set(TRANSLATION_LAWS + TRIPLE_LAWS)
+    # both halves report: the product laws and the extracted triple's laws
+    assert set(laws) & set(TRANSLATION_LAWS) and set(laws) & set(TRIPLE_LAWS)
 
 
 def test_phi_examples(m_table, n_table):
