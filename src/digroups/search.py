@@ -33,12 +33,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .morphisms import canonical_form, find_isomorphism
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
     DigroupTable,
     UnsupportedOrderError,
+    _check_batch,
     builtin,
     is_commutative,
     is_group,
@@ -381,32 +384,39 @@ def enumerate_digroups(
 
 
 def naive_enumerate(n: int) -> list[CatalogEntry]:
-    """Brute-force oracle: scan every table pair consistent with the unit
-    constraints and keep each one that passes the axiom checker and equals
-    its canonical_form.  The scan runs in canonical-key order, so the output
-    matches enumerate_digroups exactly."""
+    """Brute-force oracle: build every table pair consistent with the unit
+    constraints, decide the axioms on all of them in one batch, and keep
+    each one that passes and equals its canonical_form.  The candidates run
+    in canonical-key order, so the output matches enumerate_digroups
+    exactly."""
     if n > _NAIVE_CAP:
         raise UnsupportedOrderError(f"naive enumeration supports order <= {_NAIVE_CAP}")
     if n < 1:
         raise UnsupportedOrderError("order must be >= 1")
 
-    solutions = []
     free_left = [(x, y) for x in range(n) for y in range(1, n)]
     free_right = [(x, y) for x in range(1, n) for y in range(1, n)]
-    for values in itertools.product(range(n), repeat=len(free_left) + len(free_right)):
-        left = [[0] * n for _ in range(n)]
-        right = [[0] * n for _ in range(n)]
-        for x in range(n):
-            left[x][0] = x
-            right[0][x] = x
-        for (x, y), v in zip(free_left, values):
-            left[x][y] = v
-        for (x, y), v in zip(free_right, values[len(free_left) :]):
-            right[x][y] = v
-        for x in range(1, n):
-            right[x][0] = left[0][x]
-        table = DigroupTable(n, 0, left, right)
-        if validate_digroup(table).ok and canonical_form(table).table == table:
+    free = len(free_left) + len(free_right)
+    values = np.fromiter(
+        itertools.chain.from_iterable(itertools.product(range(n), repeat=free)),
+        dtype=np.uint8,
+        count=n**free * free,
+    ).reshape(n**free, free)
+    left = np.zeros((len(values), n, n), dtype=np.uint8)
+    right = np.zeros_like(left)
+    left[:, :, 0] = range(n)
+    right[:, 0, :] = range(n)
+    for k, (x, y) in enumerate(free_left):
+        left[:, x, y] = values[:, k]
+    for k, (x, y) in enumerate(free_right, len(free_left)):
+        right[:, x, y] = values[:, k]
+    right[:, 1:, 0] = left[:, 0, 1:]
+
+    found, _, _ = _check_batch(np.zeros(len(values), dtype=np.intp), left, right)
+    solutions = []
+    for b in np.flatnonzero(~found.any(axis=0)):
+        table = DigroupTable(n, 0, left[b].tolist(), right[b].tolist())
+        if canonical_form(table).table == table:
             solutions.append((table.left, table.right))
     return _entries_from_solutions(n, solutions)
 

@@ -44,7 +44,6 @@ from .tables import (
     Violation,
     _pair_table,
     ensure_valid,
-    liu_inverse_map,
 )
 
 # Translation identity suite law codes, in report order.  The laws that only
@@ -222,13 +221,12 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     of the extracted triple; ``validate_triple`` checks them and its
     violations, with transform-index witnesses, are appended.
     """
-    from .triples import triple_from_digroup, validate_triple  # triples imports us
+    from .triples import _triple_and_liu, validate_triple  # triples imports us
 
     n = table.order
     e = table.identity
-    triple = triple_from_digroup(table)
+    triple, liu = _triple_and_liu(table)
     group, semi = triple.group_part, triple.semi_part
-    liu = liu_inverse_map(table)
     ident = Transform.identity(n)
 
     def grp(a: Element) -> Transform:

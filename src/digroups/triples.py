@@ -33,6 +33,7 @@ from .tables import (
     DigroupTable,
     DigroupError,
     MalformedTableError,
+    Mapping,
     ValidationReport,
     Violation,
     ensure_valid,
@@ -197,6 +198,12 @@ def triple_from_digroup(table: DigroupTable) -> StandardTriple:
     semi part are its left translation sets, the right unit is the semi
     transform of e, the left inverse of the transform of a is the transform
     of the Liu inverse of a, and phi bridges the two sets."""
+    return _triple_and_liu(table)[0]
+
+
+def _triple_and_liu(table: DigroupTable) -> tuple[StandardTriple, Mapping]:
+    """The standard triple of a validated digroup, with the Liu inverse map
+    it was built from."""
     group, semi = pair = left_translations(table)
     e = table.identity
     liu = liu_inverse_map(table)
@@ -205,7 +212,7 @@ def triple_from_digroup(table: DigroupTable) -> StandardTriple:
     for f in semi.transforms:
         a = f(e)
         left_inverse.append(semi.label_of(liu(a)))
-    return StandardTriple(
+    triple = StandardTriple(
         carrier_size=table.order,
         group_part=group,
         semi_part=semi,
@@ -213,6 +220,7 @@ def triple_from_digroup(table: DigroupTable) -> StandardTriple:
         left_inverse=tuple(left_inverse),
         phi=tuple(phi_map.image),
     )
+    return triple, liu
 
 
 def digroup_from_triple(triple: StandardTriple) -> DigroupTable:

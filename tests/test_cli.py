@@ -3,15 +3,19 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from digroups import (
+    ParseError,
     builtin,
     cyclic_group,
     parse_digroup,
     parse_triple,
     run_cli,
     serialize_digroup,
+    validate_digroup,
 )
+from digroups.fileio import digroup_to_dict
 
 
 @pytest.fixture()
@@ -75,6 +79,57 @@ def test_embed_rejects_a_product_beyond_the_validator_cap(tmp_path, capsys):
     path.write_text(serialize_digroup(builtin("Z20")), encoding="utf-8")
     assert run_cli(["embed", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@st.composite
+def _documents(draw):
+    """Digroup documents of order 1-4 with arbitrary integer entries,
+    identity and labels.  A document starts from a valid table or from
+    random in-range tables, and may then get one arbitrary integer in a
+    cell or the identity, so that every exit code occurs."""
+    n = draw(st.integers(1, 4))
+    in_range = st.integers(0, n - 1)
+    matrix = st.lists(st.lists(in_range, min_size=n, max_size=n), min_size=n, max_size=n)
+    valid = [
+        t for t in (builtin("trivial(1)"), builtin("M"), builtin("Z3"), builtin("Z4"))
+        if t.order == n
+    ]
+    if valid and draw(st.booleans()):
+        doc = digroup_to_dict(draw(st.sampled_from(valid)))
+    else:
+        doc = {"order": n, "identity": draw(in_range), "left": draw(matrix), "right": draw(matrix)}
+    field = draw(st.sampled_from(("left", "right", "identity", None)))
+    if field == "identity":
+        doc["identity"] = draw(st.integers())
+    elif field is not None:
+        rows = [list(row) for row in doc[field]]
+        rows[draw(in_range)][draw(in_range)] = draw(st.integers())
+        doc[field] = rows
+    labels = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True),
+            st.lists(st.one_of(st.text(max_size=2), st.integers()), max_size=5),
+        )
+    )
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents())
+def test_check_exit_code_matches_parser_and_validator(tmp_path, doc):
+    text = json.dumps(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli(["check", str(path)])
+    try:
+        table = parse_digroup(text)
+    except ParseError:
+        assert code == 2
+        return
+    assert code == (0 if validate_digroup(table).ok else 1)
 
 
 def test_missing_file_is_input_error(capsys):

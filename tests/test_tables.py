@@ -4,9 +4,14 @@ Expected tables for M and N are frozen here from their source, transcribed by
 hand; indices follow the label orders (0, a) and (e, α, β, γ, δ, ε).
 """
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from digroups import tables
 from digroups import (
     DigroupTable,
     MalformedTableError,
@@ -20,6 +25,7 @@ from digroups import (
     is_group,
     liu_inverse,
     liu_inverse_map,
+    relabel,
     trivial_digroup,
     validate_digroup,
 )
@@ -28,7 +34,13 @@ from digroups.tables import (
     BARUNIT_RIGHT,
     BARUNIT_SWAP,
     DIASSOC_1,
+    DIASSOC_2,
+    DIASSOC_3,
+    DIASSOC_4,
+    DIASSOC_5,
     INVERSE_MISSING,
+    ValidationReport,
+    Violation,
 )
 
 # Hand-transcribed operation tables for the two named digroups.
@@ -276,3 +288,127 @@ def test_mapping_invariants():
     ident = Mapping.identity(4)
     assert ident.is_bijection()
     assert ident.inverse() == ident
+
+
+def _reference_report(table):
+    """All nine laws by plain loops over the tables, first witnesses in
+    lexicographic order; independent of the numpy engine."""
+    n, e, L, R = table.order, table.identity, table.left, table.right
+    violations = []
+    for law, lhs, rhs in (
+        (DIASSOC_1, lambda x, y, z: L[x][L[y][z]], lambda x, y, z: L[L[x][y]][z]),
+        (DIASSOC_2, lambda x, y, z: L[L[x][y]][z], lambda x, y, z: L[x][R[y][z]]),
+        (DIASSOC_3, lambda x, y, z: L[R[x][y]][z], lambda x, y, z: R[x][L[y][z]]),
+        (DIASSOC_4, lambda x, y, z: R[L[x][y]][z], lambda x, y, z: R[R[x][y]][z]),
+        (DIASSOC_5, lambda x, y, z: R[R[x][y]][z], lambda x, y, z: R[x][R[y][z]]),
+    ):
+        for w in itertools.product(range(n), repeat=3):
+            if lhs(*w) != rhs(*w):
+                violations.append(Violation(law, w, lhs(*w), rhs(*w)))
+                break
+    for law, lhs, rhs in (
+        (BARUNIT_RIGHT, lambda x: L[x][e], lambda x: x),
+        (BARUNIT_LEFT, lambda x: R[e][x], lambda x: x),
+        (BARUNIT_SWAP, lambda x: R[x][e], lambda x: L[e][x]),
+    ):
+        for x in range(n):
+            if lhs(x) != rhs(x):
+                violations.append(Violation(law, (x,), lhs(x), rhs(x)))
+                break
+    for x in range(n):
+        if not any(L[y][x] == e and R[x][y] == e for y in range(n)):
+            violations.append(Violation(INVERSE_MISSING, (x,)))
+            break
+    return ValidationReport.from_violations(violations)
+
+
+def _batch_reports(batch):
+    """Reports of a list of same-order tables, checked as one batch."""
+    checked = tables._check_batch(
+        np.array([t.identity for t in batch]),
+        np.array([t.left for t in batch]),
+        np.array([t.right for t in batch]),
+    )
+    return [tables._report(*checked, b) for b in range(len(batch))]
+
+
+def _candidates():
+    """Every table pair with every identity at orders 1 and 2, and 2,000
+    seeded order-3 tables: half arbitrary, half with the bar-unit cells
+    filled in the way the naive oracle fills them."""
+    for n in (1, 2):
+        batch = []
+        for e in range(n):
+            for vals in itertools.product(range(n), repeat=2 * n * n):
+                left = [vals[i * n : (i + 1) * n] for i in range(n)]
+                right = [vals[n * n + i * n : n * n + (i + 1) * n] for i in range(n)]
+                batch.append(DigroupTable(n, e, left, right))
+        yield batch
+    rng = random.Random(2003)
+    batch = []
+    for k in range(2000):
+        left = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        right = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        e = rng.randrange(3)
+        if k % 2:
+            for x in range(3):
+                left[x][e], right[e][x] = x, x
+            for x in range(3):
+                right[x][e] = left[e][x]
+        batch.append(DigroupTable(3, e, left, right))
+    yield batch
+
+
+def test_batch_engine_agrees_with_the_validator_and_a_loop_oracle():
+    oks = []
+    for batch in _candidates():
+        for table, report in zip(batch, _batch_reports(batch)):
+            assert report == validate_digroup(table) == _reference_report(table)
+            oks.append(report.ok)
+    assert 0 < sum(oks) < len(oks)
+
+
+def _corruptions(table, rng, count):
+    """Seeded copies of a table with one cell changed."""
+    n = table.order
+    out = []
+    for _ in range(count):
+        left = [list(row) for row in table.left]
+        right = [list(row) for row in table.right]
+        cells = rng.choice((left, right))
+        x, y = rng.randrange(n), rng.randrange(n)
+        cells[x][y] = (cells[x][y] + rng.randrange(1, n)) % n
+        out.append(DigroupTable(n, table.identity, left, right))
+    return out
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    rng = random.Random(1601)
+    pool = [
+        builtin("Z5"),
+        builtin("N"),
+        direct_product(builtin("M"), builtin("Z3")),
+        builtin("Z7"),
+        direct_product(builtin("M"), builtin("Z4")),
+        direct_product(builtin("Z3"), builtin("trivial(3)")),
+        direct_product(builtin("Z5"), builtin("M")),
+        builtin("trivial(11)"),
+        direct_product(builtin("N"), builtin("M")),
+        direct_product(direct_product(builtin("trivial(4)"), builtin("Z4")), builtin("Z4")),
+    ]
+    batches = []
+    for table in pool:
+        images = list(range(table.order))
+        rng.shuffle(images)
+        moved = relabel(table, Mapping(table.order, table.order, tuple(images)))
+        batches.append([table, moved] + _corruptions(moved, rng, 12))
+    assert sorted({b[0].order for b in batches}) == [5, 6, 7, 8, 9, 10, 11, 12, 64]
+
+    default = [(_batch_reports(b), [validate_digroup(t) for t in b]) for b in batches]
+    monkeypatch.setattr(tables, "_CHUNK_CELLS", 1)
+    for batch, (batch_reports, single) in zip(batches, default):
+        assert batch_reports == single
+        assert _batch_reports(batch) == batch_reports
+        assert [validate_digroup(t) for t in batch] == single
+        assert single[0].ok and single[1].ok
+        assert not all(r.ok for r in single)
