@@ -195,9 +195,3 @@ def canonical_form(table: DigroupTable) -> CanonicalTable:
     perm = Mapping(n, n, best_perm)
     canon = DigroupTable(n, 0, best_tables[0], best_tables[1])
     return CanonicalTable(canon, perm)
-
-
-def canonical_key(table: DigroupTable) -> tuple[int, ...]:
-    """Flattened canonical table, usable as a dictionary key or sort key."""
-    t = canonical_form(table).table
-    return _flatten(t.left, t.right)

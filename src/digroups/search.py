@@ -435,16 +435,7 @@ def count_by_class(n: int, opts: SearchOptions = SearchOptions()) -> dict[str, i
     }
 
 
-def _describe(entry: CatalogEntry) -> str:
-    kind = []
-    kind.append("commutative" if entry.commutative else "non-commutative")
-    if entry.group:
-        kind.append("group")
-    return f"order {entry.order} {' '.join(kind)} class"
-
-
 def verify_classification_claims(
-    opts: SearchOptions = SearchOptions(),
     catalogs: Optional[dict[int, list[CatalogEntry]]] = None,
     through: int = 6,
 ) -> ClaimReport:
@@ -461,14 +452,14 @@ def verify_classification_claims(
     C5: N fails commutativity at the witness pair (β, β).
 
     Precomputed catalogs may be passed in keyed by order; missing orders are
-    enumerated with the given options.  Claims needing orders above
+    enumerated with the default options.  Claims needing orders above
     ``through`` are skipped (C5 always runs).
     """
     cache: dict[int, list[CatalogEntry]] = dict(catalogs or {})
 
     def catalog(order: int) -> list[CatalogEntry]:
         if order not in cache:
-            cache[order] = enumerate_digroups(order, opts)
+            cache[order] = enumerate_digroups(order)
         return cache[order]
 
     claims: list[ClaimResult] = []

@@ -60,19 +60,24 @@ def _members(table: DigroupTable, subset) -> frozenset[Element]:
     return SubsetMask.of(table.order, subset).members
 
 
-def is_subdigroup(table: DigroupTable, subset) -> bool:
-    """Criterion (iii): nonempty, closed under both products and Liu inverses."""
-    h = _members(table, subset)
-    if not h:
-        return False
-    liu = liu_inverse_map(table)
-    for a in h:
-        if liu(a) not in h:
+def _is_closed(table: DigroupTable, mask: int, liu: tuple[Element, ...]) -> bool:
+    """Criterion (iii) on the members of a nonzero bitmask: closed under both
+    products and the ambient Liu inverses ``liu``."""
+    members = [x for x in range(table.order) if mask >> x & 1]
+    for a in members:
+        if not mask >> liu[a] & 1:
             return False
-        for b in h:
-            if table.left[a][b] not in h or table.right[a][b] not in h:
+        left, right = table.left[a], table.right[a]
+        for b in members:
+            if not mask >> left[b] & 1 or not mask >> right[b] & 1:
                 return False
     return True
+
+
+def is_subdigroup(table: DigroupTable, subset) -> bool:
+    """Criterion (iii): nonempty, closed under both products and Liu inverses."""
+    mask = sum(1 << x for x in _members(table, subset))
+    return mask != 0 and _is_closed(table, mask, liu_inverse_map(table).image)
 
 
 def restrict(table: DigroupTable, subset) -> DigroupTable:
@@ -155,21 +160,9 @@ def all_subdigroups(table: DigroupTable) -> list[SubsetMask]:
         raise UnsupportedOrderError(
             f"subset scan supports order <= {_SUBSET_SCAN_CAP}, got {n}"
         )
-    liu = liu_inverse_map(table)
-    found = []
-    for mask in range(1, 1 << n):
-        members = [x for x in range(n) if mask >> x & 1]
-        ok = True
-        for a in members:
-            if not ok:
-                break
-            if not mask >> liu(a) & 1:
-                ok = False
-                break
-            for b in members:
-                if not mask >> table.left[a][b] & 1 or not mask >> table.right[a][b] & 1:
-                    ok = False
-                    break
-        if ok:
-            found.append(SubsetMask.of(n, members))
-    return found
+    liu = liu_inverse_map(table).image
+    return [
+        SubsetMask.of(n, (x for x in range(n) if mask >> x & 1))
+        for mask in range(1, 1 << n)
+        if _is_closed(table, mask, liu)
+    ]

@@ -182,8 +182,10 @@ class ValidationReport:
 class Mapping:
     """A finite function between index sets, as an image vector.
 
-    Used for homomorphisms, Liu-inverse maps, relabelings and transform
-    labelings alike.
+    Used for homomorphisms, Liu-inverse maps, relabelings, transform
+    labelings and the transforms themselves: a translation of a digroup of
+    order n is a ``Mapping(n, n, row)``.  Composition applies the right
+    factor first: ``f.compose(g)(x) = f(g(x))``.
     """
 
     domain_size: int
@@ -203,6 +205,19 @@ class Mapping:
 
     def __call__(self, x: int) -> int:
         return self.image[x]
+
+    def compose(self, other: "Mapping") -> "Mapping":
+        """self∘other, defined when other lands in self's domain."""
+        if other.codomain_size != self.domain_size:
+            raise MalformedTableError(
+                f"cannot compose a mapping on {self.domain_size} points "
+                f"after one into {other.codomain_size} points"
+            )
+        return Mapping(
+            other.domain_size,
+            self.codomain_size,
+            tuple(self.image[v] for v in other.image),
+        )
 
     def is_bijection(self) -> bool:
         return self.domain_size == self.codomain_size and len(set(self.image)) == len(
@@ -334,6 +349,14 @@ def _report(
     return ValidationReport.from_violations(violations)
 
 
+def _require_checkable(n: int) -> None:
+    """Raise UnsupportedOrderError for orders beyond the axiom check's cap."""
+    if n > _VALIDATE_CAP:
+        raise UnsupportedOrderError(
+            f"axiom check supports order <= {_VALIDATE_CAP}, got {n}"
+        )
+
+
 def validate_digroup(table: DigroupTable) -> ValidationReport:
     """Decide every digroup axiom exhaustively over all n^3 triples.
 
@@ -344,11 +367,7 @@ def validate_digroup(table: DigroupTable) -> ValidationReport:
     memory grows as n^2; orders above ``_VALIDATE_CAP`` raise
     UnsupportedOrderError, since the time grows as n^3.
     """
-    n = table.order
-    if n > _VALIDATE_CAP:
-        raise UnsupportedOrderError(
-            f"axiom check supports order <= {_VALIDATE_CAP}, got {n}"
-        )
+    _require_checkable(table.order)
     checked = _check_batch(
         np.array((table.identity,)),
         np.array((table.left,), dtype=np.intp),

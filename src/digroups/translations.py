@@ -6,20 +6,23 @@ For an element a of a digroup there are four translation maps:
     by the right product:  x -> a ↼ x   (rows of the right table)
     and their right-handed mirrors x -> x ⇀ a, x -> x ↼ a (columns).
 
-Read as sets of self-maps of the carrier these collapse: translations by the
-right product form a group under composition, while the family x -> a ⇀ x is
-a semigroup with a right unit and left inverses, always of size n because it
-is labeled injectively by a = f(e).  The map phi sending the semigroup-part
-transform of a to its group-part transform is a semigroup homomorphism.
+Each translation is a transform: a self-map of the carrier held as a
+``Mapping(n, n, row)`` and composed with ``Mapping.compose``.  Read as sets
+of transforms these collapse: translations by the right product form a group
+under composition, while the family x -> a ⇀ x is a semigroup with a right
+unit and left inverses, always of size n because it is labeled injectively by
+a = f(e).  The map phi sending the semigroup-part transform of a to its
+group-part transform is a semigroup homomorphism.
 
 Composing the two families pairwise turns (group part) x (semi part) into a
 digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
 The two sets with phi are the digroup's standard triple (see triples.py), so
 this module has one builder for the pair digroup of triple data, shared with
-``digroup_from_triple``, and the identity suite checks only the laws that
+``digroup_from_triple``; it refuses a product beyond the axiom check's order
+cap before building any table.  The identity suite checks only the laws that
 read the digroup's products or Liu inverses before running the triple laws
-on the extracted triple.
+on the extracted triple, and both record violations through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, and the mirrored product is its left product, taken opposite
@@ -43,6 +46,7 @@ from .tables import (
     ValidationReport,
     Violation,
     _pair_table,
+    _require_checkable,
     ensure_valid,
 )
 
@@ -66,52 +70,16 @@ TRANSLATION_LAWS = (
 
 
 @dataclass(frozen=True)
-class Transform:
-    """A self-map of a finite carrier; composition applies the right factor
-    first: (f.compose(g))(x) = f(g(x))."""
-
-    carrier_size: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
-        if len(self.image) != self.carrier_size:
-            raise MalformedTableError("transform image length != carrier size")
-        for v in self.image:
-            if not (0 <= v < self.carrier_size):
-                raise MalformedTableError(f"transform image value {v} out of range")
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
-    def compose(self, other: "Transform") -> "Transform":
-        if other.carrier_size != self.carrier_size:
-            raise MalformedTableError("cannot compose transforms of different carriers")
-        return Transform(
-            self.carrier_size, tuple(self.image[v] for v in other.image)
-        )
-
-    def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.image))
-
-    def is_bijection(self) -> bool:
-        return len(set(self.image)) == self.carrier_size
-
-    @staticmethod
-    def identity(n: int) -> "Transform":
-        return Transform(n, tuple(range(n)))
-
-
-@dataclass(frozen=True)
 class TransformSet:
-    """Distinct transforms with a labeling of carrier elements onto them.
+    """Distinct transforms, self-maps of a carrier of ``carrier_size``
+    points, with a labeling of carrier elements onto them.
 
     Duplicate functions collapse (set semantics); label_of records which
     transform each element's translation became, and is surjective.
     """
 
     carrier_size: int
-    transforms: tuple[Transform, ...]
+    transforms: tuple[Mapping, ...]
     label_of: Mapping
 
     def __post_init__(self):
@@ -128,7 +96,7 @@ class TransformSet:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {t.image: i for i, t in enumerate(self.transforms)}
 
-    def index_of(self, t: Transform) -> Optional[int]:
+    def index_of(self, t: Mapping) -> Optional[int]:
         """Index of a transform by extension, or None if absent."""
         return self._index.get(t.image)
 
@@ -142,12 +110,12 @@ class TransformSet:
             raise MalformedTableError("transform set needs at least one transform")
         n = len(rows[0])
         seen: dict[tuple[int, ...], int] = {}
-        transforms: list[Transform] = []
+        transforms: list[Mapping] = []
         labels: list[int] = []
         for row in rows:
             if row not in seen:
                 seen[row] = len(transforms)
-                transforms.append(Transform(n, row))
+                transforms.append(Mapping(n, n, row))
             labels.append(seen[row])
         if not labeled_by_element and len(transforms) != len(rows):
             raise MalformedTableError("explicit transform list must be duplicate-free")
@@ -205,6 +173,7 @@ def _phi(pair: TranslationPair, e: Element) -> Mapping:
 
 
 def _first_violation(store: dict, law: str, witnesses: tuple[int, ...]) -> None:
+    """Record a violation of law at witnesses unless law already has one."""
     if law not in store:
         store[law] = Violation(law, witnesses)
 
@@ -227,41 +196,39 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     e = table.identity
     triple, liu = _triple_and_liu(table)
     group, semi = triple.group_part, triple.semi_part
-    ident = Transform.identity(n)
+    ident = Mapping.identity(n)
 
-    def grp(a: Element) -> Transform:
+    def grp(a: Element) -> Mapping:
         return group.transforms[group.label_of(a)]
 
-    def sem(a: Element) -> Transform:
+    def sem(a: Element) -> Mapping:
         return semi.transforms[semi.label_of(a)]
 
     found: dict[str, Violation] = {}
 
-    if grp(e).image != ident.image:
+    if grp(e) != ident:
         _first_violation(found, TRANS_GRP_IDENTITY, (e,))
     for a in range(n):
         ai = liu(a)
-        if grp(ai).compose(grp(a)).image != ident.image or grp(a).compose(
-            grp(ai)
-        ).image != ident.image:
+        if grp(ai).compose(grp(a)) != ident or grp(a).compose(grp(ai)) != ident:
             _first_violation(found, TRANS_GRP_INVERSE, (a,))
 
     for a in range(n):
         for b in range(n):
             lab = table.left[a][b]
             rab = table.right[a][b]
-            ab = grp(a).compose(grp(b)).image
-            if grp(lab).image != ab:
+            ab = grp(a).compose(grp(b))
+            if grp(lab) != ab:
                 _first_violation(found, TRANS_GRP_LPROD, (a, b))
-            if grp(rab).image != ab:
+            if grp(rab) != ab:
                 _first_violation(found, TRANS_GRP_RPROD, (a, b))
             # The composite grp(a)∘semi(b) evaluates x to a↼(b⇀x), which the
             # mixed associativity law rewrites to (a↼b)⇀x: the semi transform
             # of a↼b.  This is also what keeps the product construction's
             # right operation well-defined.
-            if sem(rab).image != grp(a).compose(sem(b)).image:
+            if sem(rab) != grp(a).compose(sem(b)):
                 _first_violation(found, TRANS_MIXED_RPROD, (a, b))
-            if sem(lab).image != sem(a).compose(sem(b)).image:
+            if sem(lab) != sem(a).compose(sem(b)):
                 _first_violation(found, TRANS_SEMI_PROD, (a, b))
 
     ordered = [found[law] for law in TRANSLATION_LAWS if law in found]
@@ -306,8 +273,10 @@ def _triple_table(
     """The unvalidated pair digroup of standard-triple data: pairs (i, j) of
     group and semi indices, the left product composing both components, the
     right product composing first components and setting the second to
-    phi(f)∘g, identity (identity transform, right unit)."""
-    ident = group.index_of(Transform.identity(group.carrier_size))
+    phi(f)∘g, identity (identity transform, right unit).  Products beyond
+    the axiom check's cap are refused before any table is built."""
+    _require_checkable(len(group) * len(semi))
+    ident = group.index_of(Mapping.identity(group.carrier_size))
     if ident is None:
         raise ConstructionError("group part lacks the identity transform")
     first = _composition_table(group, "group part")

@@ -18,11 +18,13 @@ standard triple yields a digroup on (group) x (semigroup) pairs:
     (α, f) ⇀ (β, g) = (α∘β, f∘g)
     (α, f) ↼ (β, g) = (α∘β, phi(f)∘g)
 
-with identity (1, e) and Liu inverse (α⁻¹, linv(f)).  The translation
-product is this construction on the extracted triple, built by the same
-table builder, and ``verify_translation_identities`` reports the violations
-of these laws on the extracted triple.  Each law code has one meaning across
-both modules.
+with identity (1, e) and Liu inverse (α⁻¹, linv(f)).  Transforms are
+``Mapping`` self-maps of the carrier, so composition, identity and group
+inverses are ``Mapping``'s own.  The translation product is this
+construction on the extracted triple, built by the same table builder, and
+``verify_translation_identities`` reports the violations of these laws on the
+extracted triple; both modules record violations through the same collector.
+Each law code has one meaning across both modules.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .tables import (
     liu_inverse_map,
 )
 from .translations import (
-    Transform,
     TransformSet,
+    _first_violation,
     _phi,
     _triple_table,
     left_translations,
@@ -128,66 +130,57 @@ def validate_triple(triple: StandardTriple) -> ValidationReport:
     s = triple.semi_part
     eu = triple.right_unit
     unit = s.transforms[eu]
-    ident = Transform.identity(triple.carrier_size)
 
     found: dict[str, Violation] = {}
 
-    def report(law: str, *witnesses: int) -> None:
-        if law not in found:
-            found[law] = Violation(law, tuple(witnesses))
-
     for i, t in enumerate(g.transforms):
         if not t.is_bijection():
-            report(GROUP_BIJECTION, i)
-    if g.index_of(ident) is None:
-        report(GROUP_IDENTITY)
+            _first_violation(found, GROUP_BIJECTION, (i,))
+    if g.index_of(Mapping.identity(triple.carrier_size)) is None:
+        _first_violation(found, GROUP_IDENTITY, ())
     for i, a in enumerate(g.transforms):
         for k, b in enumerate(g.transforms):
             if g.index_of(a.compose(b)) is None:
-                report(GROUP_CLOSURE, i, k)
-        if a.is_bijection():
-            inv = [0] * triple.carrier_size
-            for x, v in enumerate(a.image):
-                inv[v] = x
-            if g.index_of(Transform(triple.carrier_size, tuple(inv))) is None:
-                report(GROUP_INVERSE, i)
+                _first_violation(found, GROUP_CLOSURE, (i, k))
+        if a.is_bijection() and g.index_of(a.inverse()) is None:
+            _first_violation(found, GROUP_INVERSE, (i,))
 
     for j, f in enumerate(s.transforms):
         for l, h in enumerate(s.transforms):
             if s.index_of(f.compose(h)) is None:
-                report(SEMI_CLOSURE, j, l)
-        if f.compose(unit).image != f.image:
-            report(SEMI_RIGHT_UNIT, j)
-        if s.transforms[triple.left_inverse[j]].compose(f).image != unit.image:
-            report(SEMI_LEFT_INVERSE, j)
+                _first_violation(found, SEMI_CLOSURE, (j, l))
+        if f.compose(unit) != f:
+            _first_violation(found, SEMI_RIGHT_UNIT, (j,))
+        if s.transforms[triple.left_inverse[j]].compose(f) != unit:
+            _first_violation(found, SEMI_LEFT_INVERSE, (j,))
 
-    def phi_of(f: Transform) -> Transform | None:
+    def phi_of(f: Mapping) -> Mapping | None:
         j = s.index_of(f)
         return g.transforms[triple.phi[j]] if j is not None else None
 
     for j, f in enumerate(s.transforms):
         pf = g.transforms[triple.phi[j]]
-        if pf.compose(s.transforms[triple.left_inverse[j]]).image != unit.image:
-            report(PHI_LEFT_INVERSE, j)
+        if pf.compose(s.transforms[triple.left_inverse[j]]) != unit:
+            _first_violation(found, PHI_LEFT_INVERSE, (j,))
         if j == eu:
             for l, h in enumerate(s.transforms):
-                if pf.compose(h).image != h.image:
-                    report(PHI_UNIT_ACTS, l)
-        if unit.compose(f).image != pf.compose(unit).image:
-            report(PHI_UNIT_SWAP, j)
+                if pf.compose(h) != h:
+                    _first_violation(found, PHI_UNIT_ACTS, (l,))
+        if unit.compose(f) != pf.compose(unit):
+            _first_violation(found, PHI_UNIT_SWAP, (j,))
         for l, h in enumerate(s.transforms):
             ph = g.transforms[triple.phi[l]]
             composed_phi = phi_of(f.compose(h))
-            if composed_phi is None or composed_phi.image != pf.compose(ph).image:
-                report(PHI_HOMOMORPHISM, j, l)
+            if composed_phi is None or composed_phi != pf.compose(ph):
+                _first_violation(found, PHI_HOMOMORPHISM, (j, l))
             mixed = pf.compose(h)
             if s.index_of(mixed) is None:
-                report(PHI_ABSORB, j, l)
-            if f.compose(ph).image != f.compose(h).image:
-                report(PHI_RIGHT_ABSORB, j, l)
+                _first_violation(found, PHI_ABSORB, (j, l))
+            if f.compose(ph) != f.compose(h):
+                _first_violation(found, PHI_RIGHT_ABSORB, (j, l))
             mixed_phi = phi_of(mixed)
-            if mixed_phi is None or mixed_phi.image != pf.compose(ph).image:
-                report(PHI_COMPOSE, j, l)
+            if mixed_phi is None or mixed_phi != pf.compose(ph):
+                _first_violation(found, PHI_COMPOSE, (j, l))
 
     ordered = [found[law] for law in TRIPLE_LAWS if law in found]
     return ValidationReport.from_violations(ordered)
@@ -228,8 +221,9 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
 
     The carrier is (group index, semi index) -> i * |semi| + j; the left
     product composes both components, the right product applies phi to the
-    first factor's semi component.  Rejects triples failing validation, and
-    verifies the produced table against the axiom checker.
+    first factor's semi component.  Rejects triples failing validation and
+    products beyond the axiom check's order cap, and verifies the produced
+    table against the axiom checker.
     """
     report = validate_triple(triple)
     if not report.ok:

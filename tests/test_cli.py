@@ -1,6 +1,7 @@
 """Command line exit codes and output contracts."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,6 +14,8 @@ from digroups import (
     parse_triple,
     run_cli,
     serialize_digroup,
+    serialize_triple,
+    triple_from_digroup,
     validate_digroup,
 )
 from digroups.fileio import digroup_to_dict
@@ -78,6 +81,29 @@ def test_embed_rejects_a_product_beyond_the_validator_cap(tmp_path, capsys):
     path = tmp_path / "z20.json"
     path.write_text(serialize_digroup(builtin("Z20")), encoding="utf-8")
     assert run_cli(["embed", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_embed_refuses_a_large_product_before_building_it(tmp_path, capsys):
+    # Z100's translation product would have order 10,000; it must be refused
+    # before its tables, whose size grows as n^4, are built
+    path = tmp_path / "z100.json"
+    path.write_text(serialize_digroup(builtin("Z100")), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run_cli(["embed", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "error:" in capsys.readouterr().err
+    assert peak < 64 * 2**20
+
+
+def test_triple_build_refuses_a_large_product(tmp_path, capsys):
+    path = tmp_path / "z100_triple.json"
+    triple = triple_from_digroup(builtin("Z100"))
+    path.write_text(serialize_triple(triple), encoding="utf-8")
+    assert run_cli(["triple", "build", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -290,6 +290,22 @@ def test_mapping_invariants():
     assert ident.inverse() == ident
 
 
+def test_mapping_compose_applies_the_right_factor_first():
+    g = Mapping(4, 3, (2, 0, 1, 2))  # 4 points into 3
+    f = Mapping(3, 2, (1, 1, 0))  # 3 points into 2
+    fg = f.compose(g)
+    assert (fg.domain_size, fg.codomain_size) == (4, 2)
+    assert all(fg(x) == f(g(x)) for x in range(4))
+    assert fg.image == (0, 1, 1, 0)
+    with pytest.raises(MalformedTableError):
+        g.compose(f)  # f lands in 2 points, g needs 4
+    with pytest.raises(MalformedTableError):
+        f.compose(f)
+    for m in (f, g, fg):
+        assert m.compose(Mapping.identity(m.domain_size)) == m
+        assert Mapping.identity(m.codomain_size).compose(m) == m
+
+
 def _reference_report(table):
     """All nine laws by plain loops over the tables, first witnesses in
     lexicographic order; independent of the numpy engine."""

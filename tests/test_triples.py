@@ -1,10 +1,14 @@
 """Standard triples: extraction, validation, and the pair digroup."""
 
+import hashlib
+import random
+
 import pytest
 
 from digroups import (
+    DigroupTable,
+    Mapping,
     StandardTriple,
-    Transform,
     TransformSet,
     TripleValidationError,
     builtin,
@@ -15,11 +19,14 @@ from digroups import (
     is_subdigroup,
     liu_inverse_map,
     restrict,
+    serialize_triple,
     translation_product_digroup,
     triple_from_digroup,
     validate_digroup,
     validate_triple,
+    verify_translation_identities,
 )
+from digroups.tables import INVERSE_MISSING
 from digroups.triples import SEMI_RIGHT_UNIT
 
 
@@ -114,7 +121,8 @@ def test_built_liu_inverse_is_componentwise(identity_suite):
             inv_image = [0] * t.carrier_size
             for x, v in enumerate(a.image):
                 inv_image[v] = x
-            ai = t.group_part.index_of(Transform(t.carrier_size, tuple(inv_image)))
+            n = t.carrier_size
+            ai = t.group_part.index_of(Mapping(n, n, inv_image))
             for j in range(ns):
                 assert liu(i * ns + j) == ai * ns + t.left_inverse[j]
 
@@ -147,3 +155,116 @@ def test_external_triple_with_identity_labeling(n_table):
     )
     assert validate_triple(rebuilt).ok
     assert digroup_from_triple(rebuilt).left == digroup_from_triple(t).left
+
+
+# sha256 of, per digroup: serialize_triple of its extracted triple; repr of
+# its identity-suite report followed by the reports on seeded one-cell
+# corruptions of its tables that keep every Liu inverse; and repr of the
+# validate_triple reports on seeded one-cell corruptions of the extracted
+# transform rows.  Any change to how transforms, triples or their reports are
+# built must leave these bytes alone.
+TRIPLE_LAYER_DIGESTS = {
+    "M": (
+        "e6f7c41fc2c47a8d2ea2916ab404de94496ead552c5ec76352a193aadd166204",
+        "410e4b427e7d528dc7cb138b1f306f0991eaa37fb08bcef15982296d76e244e4",
+        "963ef1e23279a91d467e3ff07d1b338faf055162c547b373700484dff676c360",
+    ),
+    "N": (
+        "a2f407d737fb4b99aedd35f155ff3c454f89bfd8e943858f6ac19dcd4e4cd247",
+        "bd3f9a3679d72ff6513dea24a45a9521f171a7aa615811aa4e81dc72dab195c2",
+        "baf39f31c7ee358cdcc0980568b7397746c70f7ef13ba4ee91455cd7c0b7f462",
+    ),
+    "S3": (
+        "3e7d8a83ab8190b8b6c932a8857a8fc730283c0f6b0f29649bb4387d53561104",
+        "139551c6d1b52c1bd4a8823432ed32ffe846fff9df03ab8f0a6f0ac12286a320",
+        "1d2bb942db768c465e20fc214e48e1c958fd56ead968c834821799e85c02f646",
+    ),
+    "Z4": (
+        "6cfb93ec722519af4b9d6c5ac1acf85c5e8e9cb8d3fee88cff9187ef68a84b85",
+        "9b3d7b060418be941a390ad5174654c4e6cdca83edc7e134e639688c4e9404b3",
+        "5b5f6af7b98056c835874e1f40b275c41add3559d501ee39e43457e56d75357f",
+    ),
+    "NxZ2": (
+        "ea07ca299441cab1aadebc8494e96f15fe17e119d98224cd9b519190d77e0c87",
+        "2fbdb48adabcf86832305d5ac54b9aaa0bd56b75bda534ee99a7c2eab9077988",
+        "45c20e03433338fae7385c1cdf3d0cb4ba5ca3ec19111298fa6a10cb5d518cf8",
+    ),
+    "MxZ4": (
+        "db084d2395f28ca46515214ca5886c651584503481ab49ab34097ab68de16e4e",
+        "c10a656ce4d943888ef5730e0db6771a5d75162903a96849987d88cf38364a17",
+        "f2badb53f204242de3442dddae83e48c5ecc1a93eb5c42e0f5b1f00f925f357a",
+    ),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _triple_layer_input(name: str):
+    if name == "NxZ2":
+        return direct_product(builtin("N"), builtin("Z2"))
+    if name == "MxZ4":
+        return direct_product(builtin("M"), builtin("Z4"))
+    return builtin(name)
+
+
+def _corrupted_tables(table, rng, count):
+    """One-cell corruptions of either product that keep every Liu inverse, so
+    the identity suite can run on them."""
+    out = []
+    for _ in range(50 * count):
+        if len(out) == count:
+            break
+        left = [list(row) for row in table.left]
+        right = [list(row) for row in table.right]
+        cells = rng.choice((left, right))
+        x, y = rng.randrange(table.order), rng.randrange(table.order)
+        cells[x][y] = rng.choice([v for v in range(table.order) if v != cells[x][y]])
+        broken = DigroupTable(table.order, table.identity, left, right)
+        if INVERSE_MISSING not in {v.law for v in validate_digroup(broken).violations}:
+            out.append(broken)
+    return out
+
+
+def _corrupted_triples(t, rng, count):
+    """One-cell corruptions of the group or semi part's transform rows that
+    keep the rows distinct."""
+    out = []
+    n = t.carrier_size
+    while len(out) < count:
+        parts = {
+            "group": [list(f.image) for f in t.group_part.transforms],
+            "semi": [list(f.image) for f in t.semi_part.transforms],
+        }
+        rows = parts[rng.choice(("group", "semi"))]
+        i, x = rng.randrange(len(rows)), rng.randrange(n)
+        rows[i][x] = rng.choice([v for v in range(n) if v != rows[i][x]])
+        if len(set(map(tuple, rows))) != len(rows):
+            continue
+        group, semi = (
+            TransformSet.from_rows(parts[p], labeled_by_element=False)
+            for p in ("group", "semi")
+        )
+        out.append(
+            StandardTriple(n, group, semi, t.right_unit, t.left_inverse, t.phi)
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", ["M", "N", "S3", "Z4", "NxZ2", "MxZ4"])
+def test_triple_layer_is_byte_stable(name):
+    table = _triple_layer_input(name)
+    rng = random.Random(f"triple-layer-{name}")
+    triple = triple_from_digroup(table)
+    suites = [table] + _corrupted_tables(table, rng, 3)
+    got = (
+        _digest(serialize_triple(triple)),
+        _digest("".join(repr(verify_translation_identities(t)) for t in suites)),
+        _digest(
+            "".join(
+                repr(validate_triple(t)) for t in _corrupted_triples(triple, rng, 10)
+            )
+        ),
+    )
+    assert got == TRIPLE_LAYER_DIGESTS[name]
