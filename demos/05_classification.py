@@ -34,7 +34,7 @@ for n in range(1, 7):
     print(f"order {n}: {len(entries)} classes in {dt:.2f}s -> {tags}")
 
 print()
-print("order 2 counts:", count_by_class(2))
+print("order 2 counts:", count_by_class(enumerate_digroups(2)))
 print("naive oracle agrees at order 3:",
       [e.canonical for e in naive_enumerate(3)]
       == [e.canonical for e in enumerate_digroups(3)])

@@ -13,7 +13,12 @@ from typing import Optional
 
 from . import fileio
 from .morphisms import find_isomorphism
-from .search import SearchOptions, count_by_class, enumerate_digroups, verify_classification_claims
+from .search import (
+    count_by_class,
+    enumerate_digroups,
+    naive_enumerate,
+    verify_classification_claims,
+)
 from .subdigroups import all_subdigroups
 from .tables import (
     DigroupError,
@@ -158,9 +163,12 @@ def _cmd_triple(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    opts = SearchOptions(mode="naive" if args.naive else "propagating")
+    if args.naive:
+        entries = naive_enumerate(args.order)
+    else:
+        entries = enumerate_digroups(args.order)
     if args.count_only:
-        counts = count_by_class(args.order, opts)
+        counts = count_by_class(entries)
         print(
             " ".join(
                 f"{key}={counts[key]}"
@@ -168,7 +176,6 @@ def _cmd_enumerate(args) -> int:
             )
         )
         return OK
-    entries = enumerate_digroups(args.order, opts)
     _write_out("\n".join(fileio.catalog_lines(entries)) + "\n", args.out)
     return OK
 

@@ -54,18 +54,10 @@ _NAIVE_CAP = 3
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Options for enumerate_digroups.
+    """Options for enumerate_digroups: allow_large lifts the order cap of the
+    search.  The brute-force oracle is the separate naive_enumerate."""
 
-    mode selects the propagating search or the brute-force oracle;
-    allow_large lifts the order cap of the propagating search.
-    """
-
-    mode: str = "propagating"
     allow_large: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("propagating", "naive"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -168,9 +160,6 @@ def _search_tables(n: int):
     )
 
 
-_ASSIGN, _FIRE, _EDGE = 0, 1, 2
-
-
 class _Search:
     """Backtracking state for one order; identity is fixed at index 0.
 
@@ -183,8 +172,7 @@ class _Search:
         self.insts, self.watch, self.bcells, self.perms = _search_tables(n)
         self.val = [-1] * (2 * n * n)
         self.eq: list[list[int]] = [[] for _ in range(2 * n * n)]
-        self.fired = bytearray(len(self.insts))
-        self.trail: list[tuple[int, int]] = []
+        self.trail: list[int] = []  # assigned cell c, or ~c for an eq edge
         self.solutions: list[tuple[tuple, tuple]] = []
         self._seed()
 
@@ -201,7 +189,12 @@ class _Search:
 
     def _try(self, cell: int, value: int) -> bool:
         """Assign and propagate to a fixed point; False on conflict.  All
-        effects are recorded on the trail."""
+        effects are recorded on the trail.
+
+        A cell's watch pass runs right after it is assigned, and each cell is
+        assigned at most once per branch, so a law instance finds both inner
+        cells known only on the watch pass of the second of them to be
+        assigned: it fires exactly once per branch and needs no fired flag."""
         n = self.n
         val = self.val
         queue = [(cell, value)]
@@ -213,12 +206,10 @@ class _Search:
                     return False
                 continue
             val[c] = w
-            self.trail.append((_ASSIGN, c))
+            self.trail.append(c)
             for d in self.eq[c]:
                 queue.append((d, w))
             for idx in self.watch[c]:
-                if self.fired[idx]:
-                    continue
                 in1, in2, base1, base2, mult2 = self.insts[idx]
                 v1 = val[in1]
                 if v1 < 0:
@@ -226,8 +217,6 @@ class _Search:
                 v2 = val[in2]
                 if v2 < 0:
                     continue
-                self.fired[idx] = 1
-                self.trail.append((_FIRE, idx))
                 o1 = base1 + v1 * n
                 o2 = base2 + v2 * mult2
                 if o1 == o2:
@@ -245,19 +234,17 @@ class _Search:
                 else:
                     self.eq[o1].append(o2)
                     self.eq[o2].append(o1)
-                    self.trail.append((_EDGE, o1))
-                    self.trail.append((_EDGE, o2))
+                    self.trail.append(~o1)
+                    self.trail.append(~o2)
         return True
 
     def _undo(self, mark: int) -> None:
         while len(self.trail) > mark:
-            op, arg = self.trail.pop()
-            if op == _ASSIGN:
-                self.val[arg] = -1
-            elif op == _FIRE:
-                self.fired[arg] = 0
+            c = self.trail.pop()
+            if c >= 0:
+                self.val[c] = -1
             else:
-                self.eq[arg].pop()
+                self.eq[~c].pop()
 
     def _liu_feasible(self) -> bool:
         # Element x can still get a Liu inverse iff some y has left[y][x] and
@@ -317,12 +304,11 @@ class _Search:
         self.solutions.append((left, right))
 
     def run(self) -> list[tuple[tuple, tuple]]:
-        if not self._liu_feasible():
-            return []
-        active = self._lex_filter([(pid, 0) for pid in range(len(self.perms))])
-        if active is None:
-            return []
-        self._dfs(0, active)
+        # No root checks: the first branching cell e⇀1 is still open after
+        # seeding (it is 1 in Z_n and e in the trivial digroup), so no
+        # relabeling can compare yet, and Z_n keeps every Liu inverse
+        # reachable.
+        self._dfs(0, [(pid, 0) for pid in range(len(self.perms))])
         return self.solutions
 
     def _dfs(self, bpos: int, active) -> None:
@@ -370,11 +356,10 @@ def enumerate_digroups(
     n: int, opts: SearchOptions = SearchOptions()
 ) -> list[CatalogEntry]:
     """One entry per isomorphism class of digroups of order n, complete and
-    duplicate-free, sorted by canonical table."""
+    duplicate-free, sorted by canonical table, found by the propagating
+    search; naive_enumerate is the independent oracle for n <= 3."""
     if n < 1:
         raise UnsupportedOrderError("order must be >= 1")
-    if opts.mode == "naive":
-        return naive_enumerate(n)
     if n > _PROPAGATING_CAP and not opts.allow_large:
         raise UnsupportedOrderError(
             f"propagating enumeration is supported up to order {_PROPAGATING_CAP}; "
@@ -421,9 +406,9 @@ def naive_enumerate(n: int) -> list[CatalogEntry]:
     return _entries_from_solutions(n, solutions)
 
 
-def count_by_class(n: int, opts: SearchOptions = SearchOptions()) -> dict[str, int]:
-    """Tallies over the enumerated classes of order n."""
-    entries = enumerate_digroups(n, opts)
+def count_by_class(entries: list[CatalogEntry]) -> dict[str, int]:
+    """Tallies over a catalog, from either enumerate_digroups or
+    naive_enumerate."""
     commutative = sum(1 for e in entries if e.commutative)
     groups = sum(1 for e in entries if e.group)
     return {

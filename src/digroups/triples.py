@@ -38,6 +38,7 @@ from .tables import (
     Mapping,
     ValidationReport,
     Violation,
+    _require_checkable,
     ensure_valid,
     liu_inverse_map,
 )
@@ -125,9 +126,13 @@ class StandardTriple:
 def validate_triple(triple: StandardTriple) -> ValidationReport:
     """Check every standard-triple condition exhaustively over all transform
     pairs.  Violations name the failing condition with transform-index
-    witnesses; one violation per law, lexicographically first witness."""
+    witnesses; one violation per law, lexicographically first witness.
+    Triples whose carrier, group part or semi part exceeds the axiom check's
+    order cap raise UnsupportedOrderError; the triple of any checkable
+    digroup stays within it."""
     g = triple.group_part
     s = triple.semi_part
+    _require_checkable(max(triple.carrier_size, len(g), len(s)))
     eu = triple.right_unit
     unit = s.transforms[eu]
 
@@ -221,10 +226,11 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
 
     The carrier is (group index, semi index) -> i * |semi| + j; the left
     product composes both components, the right product applies phi to the
-    first factor's semi component.  Rejects triples failing validation and
-    products beyond the axiom check's order cap, and verifies the produced
-    table against the axiom checker.
+    first factor's semi component.  Rejects products beyond the axiom
+    check's order cap before validating the triple, then triples failing
+    validation, and verifies the produced table against the axiom checker.
     """
+    _require_checkable(len(triple.group_part) * len(triple.semi_part))
     report = validate_triple(triple)
     if not report.ok:
         raise TripleValidationError(

@@ -16,6 +16,7 @@ from digroups import (
     serialize_digroup,
     serialize_triple,
     triple_from_digroup,
+    trivial_digroup,
     validate_digroup,
 )
 from digroups.fileio import digroup_to_dict
@@ -107,6 +108,14 @@ def test_triple_build_refuses_a_large_product(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_triple_check_refuses_a_large_carrier(tmp_path, capsys):
+    path = tmp_path / "trivial201_triple.json"
+    triple = triple_from_digroup(trivial_digroup(201))
+    path.write_text(serialize_triple(triple), encoding="utf-8")
+    assert run_cli(["triple", "check", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @st.composite
 def _documents(draw):
     """Digroup documents of order 1-4 with arbitrary integer entries,
@@ -188,6 +197,25 @@ def test_subs(n_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6
     assert "{e, δ, ε}" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso", "{broken}", "{m}"],
+        ["iso", "{m}", "{broken}"],
+        ["embed", "{broken}"],
+        ["triple", "extract", "{broken}"],
+    ],
+)
+def test_commands_report_an_invalid_digroup(argv, tmp_path, m_file, capsys):
+    doc = '{"order": 2, "identity": 0, "left": [[0, 0], [1, 0]], "right": [[0, 1], [0, 1]]}'
+    path = tmp_path / "broken.json"
+    path.write_text(doc, encoding="utf-8")
+    argv = [arg.format(broken=path, m=m_file) for arg in argv]
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("violation ") for line in lines)
 
 
 def test_info_and_subs_on_invalid_table(tmp_path, capsys):
@@ -297,3 +325,12 @@ def test_claims_subset(capsys):
     out = capsys.readouterr().out
     assert "C1 PASS" in out and "C2 PASS" in out and "C5 PASS" in out
     assert "C4" not in out
+
+
+def test_claims_full(capsys):
+    assert run_cli(["claims"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("   class:")] == [
+        "   class: non-group, subdigroups=6",
+        "   class: group, subdigroups=6",
+    ]

@@ -9,6 +9,9 @@ which the classes found by the search must match one-to-one up to
 isomorphism.  The naive oracle independently covers orders up to 3.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from digroups import (
@@ -86,8 +89,7 @@ def test_order_2_is_z2_and_m(catalogs):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_naive_oracle_agrees(n, catalogs):
-    # mode="naive" returns naive_enumerate(n) itself: one scan covers both routes
-    naive = enumerate_digroups(n, SearchOptions(mode="naive"))
+    naive = naive_enumerate(n)
     assert [e.canonical for e in naive] == [e.canonical for e in catalogs[n]]
 
 
@@ -189,6 +191,36 @@ def test_search_emits_canonical_tables_in_order(n):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize(
+    "n,nodes", [(1, 1), (2, 4), (3, 16), (4, 58), (5, 190), (6, 867), (7, 5467)]
+)
+def test_search_node_counts_are_pinned(n, nodes, monkeypatch):
+    # The number of search nodes is the machine-independent measure of the
+    # pruning; a change that prunes more or less shows up as an edit here.
+    from digroups.search import _Search
+
+    calls = 0
+    dfs = _Search._dfs
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return dfs(self, *args)
+
+    monkeypatch.setattr(_Search, "_dfs", counted)
+    _Search(n).run()
+    assert calls == nodes
+
+
+def test_catalogs_equal_the_reference_catalog():
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_1_8.jsonl"
+    lines = reference.read_text(encoding="utf-8").splitlines()
+    for n in range(1, 8):
+        want = [line for line in lines if json.loads(line)["order"] == n]
+        got = catalog_lines(enumerate_digroups(n, SearchOptions(allow_large=True)))
+        assert got == want
+
+
 def test_out_of_order_solutions_are_rejected():
     from digroups import ConstructionError
     from digroups.search import _entries_from_solutions
@@ -238,7 +270,7 @@ def test_unit_preseeding_is_sound(identity_suite):
 
 
 def test_count_by_class(catalogs):
-    counts = count_by_class(2)
+    counts = count_by_class(catalogs[2])
     assert counts == {
         "total": 2,
         "commutative": 2,
@@ -246,7 +278,7 @@ def test_count_by_class(catalogs):
         "non_group": 1,
         "non_commutative": 0,
     }
-    counts = count_by_class(1)
+    counts = count_by_class(catalogs[1])
     assert counts["total"] == 1 and counts["groups"] == 1
 
 
@@ -265,11 +297,6 @@ def test_order_caps():
         naive_enumerate(4)
     with pytest.raises(UnsupportedOrderError):
         enumerate_digroups(0)
-
-
-def test_bad_options():
-    with pytest.raises(ValueError):
-        SearchOptions(mode="magic")
 
 
 def test_verify_classification_claims(catalogs):
