@@ -11,6 +11,17 @@ an equality edge between two still-open cells.  Branches where some element
 can no longer reach a Liu inverse are cut, as are partial assignments that
 are lexicographically above one of their identity-fixing relabelings.
 
+The axioms also force two families of bijections.  Given y, take its Liu
+inverse u, so u⇀y = e = y↼u.
+- Each column of ⇀ is a bijection: (x⇀y)⇀u = x⇀(y↼u) = x⇀e = x by
+  DIASSOC_2, so x ↦ x⇀y has the left inverse w ↦ w⇀u.
+- Each row of ↼ is a bijection: u↼(y↼x) = (u↼y)↼x by DIASSOC_5,
+  = (u⇀y)↼x by DIASSOC_4, = e↼x = x, so x ↦ y↼x has the left inverse
+  w ↦ u↼w.
+A partial table that repeats a value in a ⇀ column or a ↼ row therefore
+cannot complete, and the search refuses any such assignment.  This cuts no
+digroup, so the catalogs are unchanged.
+
 The seeded cells agree with their image under every identity-fixing
 relabeling, so comparing the open cells in canonical-key order is comparing
 whole flattened tables.  At a leaf every cell is known and every relabeling
@@ -138,9 +149,15 @@ def _search_tables(n: int):
         if in2 != in1:
             watch[in2].append(idx)
 
-    bcells = [cell(0, 0, y) for y in range(1, n)]
-    bcells += [cell(0, x, y) for x in range(1, n) for y in range(1, n)]
-    bcells += [cell(1, x, y) for x in range(1, n) for y in range(1, n)]
+    # (table base, x, y) of each canonical-key position; _lex_filter reads
+    # these instead of decoding the cell ids
+    bkeys = [(0, 0, y) for y in range(1, n)]
+    bkeys += [(0, x, y) for x in range(1, n) for y in range(1, n)]
+    bkeys += [(nn, x, y) for x in range(1, n) for y in range(1, n)]
+    bcells = [base + x * n + y for base, x, y in bkeys]
+    # Bijection line of each cell: ⇀ column y is line y, ↼ row x is n + x.
+    line = tuple(y for x in range(n) for y in range(n))
+    line += tuple(n + x for x in range(n) for y in range(n))
 
     perms = []
     for images in itertools.permutations(range(1, n)):
@@ -157,6 +174,8 @@ def _search_tables(n: int):
         tuple(tuple(w) for w in watch),
         tuple(bcells),
         tuple(perms),
+        tuple(bkeys),
+        line,
     )
 
 
@@ -169,8 +188,16 @@ class _Search:
 
     def __init__(self, n: int):
         self.n = n
-        self.insts, self.watch, self.bcells, self.perms = _search_tables(n)
+        (
+            self.insts,
+            self.watch,
+            self.bcells,
+            self.perms,
+            self.bkeys,
+            self.line,
+        ) = _search_tables(n)
         self.val = [-1] * (2 * n * n)
+        self.used = [0] * (2 * n)  # bitmask of the values in each line
         self.eq: list[list[int]] = [[] for _ in range(2 * n * n)]
         self.trail: list[int] = []  # assigned cell c, or ~c for an eq edge
         self.solutions: list[tuple[tuple, tuple]] = []
@@ -191,12 +218,19 @@ class _Search:
         """Assign and propagate to a fixed point; False on conflict.  All
         effects are recorded on the trail.
 
+        Assigning a value already used in the cell's ⇀ column or ↼ row is a
+        conflict, found before val or the trail is touched.  Otherwise the
+        value's bit in that line's mask is set together with the cell's trail
+        entry, and _undo clears it when it pops that entry.
+
         A cell's watch pass runs right after it is assigned, and each cell is
         assigned at most once per branch, so a law instance finds both inner
         cells known only on the watch pass of the second of them to be
         assigned: it fires exactly once per branch and needs no fired flag."""
         n = self.n
         val = self.val
+        used = self.used
+        line = self.line
         queue = [(cell, value)]
         while queue:
             c, w = queue.pop()
@@ -205,6 +239,11 @@ class _Search:
                 if cur != w:
                     return False
                 continue
+            ln = line[c]
+            bit = 1 << w
+            if used[ln] & bit:
+                return False
+            used[ln] |= bit
             val[c] = w
             self.trail.append(c)
             for d in self.eq[c]:
@@ -242,6 +281,7 @@ class _Search:
         while len(self.trail) > mark:
             c = self.trail.pop()
             if c >= 0:
+                self.used[self.line[c]] ^= 1 << self.val[c]
                 self.val[c] = -1
             else:
                 self.eq[~c].pop()
@@ -265,22 +305,20 @@ class _Search:
         assignment is lexicographically above one of its images and the node
         must be cut."""
         n = self.n
-        nn = n * n
         val = self.val
         bcells = self.bcells
+        bkeys = self.bkeys
         m = len(bcells)
         out = []
         for pid, pos in active:
             p, pinv = self.perms[pid]
             keep = True
             while pos < m:
-                c = bcells[pos]
-                cur = val[c]
+                cur = val[bcells[pos]]
                 if cur < 0:
                     break
-                t, r = divmod(c, nn)
-                x, y = divmod(r, n)
-                raw = val[t * nn + pinv[x] * n + pinv[y]]
+                base, x, y = bkeys[pos]
+                raw = val[base + pinv[x] * n + pinv[y]]
                 if raw < 0:
                     break
                 img = p[raw]
@@ -357,13 +395,15 @@ def enumerate_digroups(
 ) -> list[CatalogEntry]:
     """One entry per isomorphism class of digroups of order n, complete and
     duplicate-free, sorted by canonical table, found by the propagating
-    search; naive_enumerate is the independent oracle for n <= 3."""
+    search; naive_enumerate is the independent oracle for n <= 3.
+
+    Orders above _PROPAGATING_CAP raise UnsupportedOrderError unless
+    opts.allow_large is set, which lifts the cap with no timing promise."""
     if n < 1:
         raise UnsupportedOrderError("order must be >= 1")
     if n > _PROPAGATING_CAP and not opts.allow_large:
         raise UnsupportedOrderError(
-            f"propagating enumeration is supported up to order {_PROPAGATING_CAP}; "
-            "pass allow_large to go beyond (no timing promise)"
+            f"propagating enumeration supports orders 1 to {_PROPAGATING_CAP}"
         )
     return _entries_from_solutions(n, _Search(n).run())
 

@@ -279,6 +279,9 @@ def test_enumerate_out_file(tmp_path):
 
 def test_enumerate_out_of_range(capsys):
     assert run_cli(["enumerate", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "allow_large" not in err
     assert run_cli(["enumerate", "4", "--naive"]) == 2
 
 

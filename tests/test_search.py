@@ -192,7 +192,8 @@ def test_search_emits_canonical_tables_in_order(n):
 
 
 @pytest.mark.parametrize(
-    "n,nodes", [(1, 1), (2, 4), (3, 16), (4, 58), (5, 190), (6, 867), (7, 5467)]
+    "n,nodes",
+    [(1, 1), (2, 4), (3, 11), (4, 29), (5, 52), (6, 116), (7, 185), (8, 379)],
 )
 def test_search_node_counts_are_pinned(n, nodes, monkeypatch):
     # The number of search nodes is the machine-independent measure of the
@@ -215,10 +216,48 @@ def test_search_node_counts_are_pinned(n, nodes, monkeypatch):
 def test_catalogs_equal_the_reference_catalog():
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_1_8.jsonl"
     lines = reference.read_text(encoding="utf-8").splitlines()
-    for n in range(1, 8):
+    for n in range(1, 9):
         want = [line for line in lines if json.loads(line)["order"] == n]
         got = catalog_lines(enumerate_digroups(n, SearchOptions(allow_large=True)))
         assert got == want
+
+
+def is_lex_least(table):
+    # canonical_form's definition (no identity-fixing relabeling has a
+    # smaller flattened left-then-right key), checked with an early exit per
+    # relabeling, since canonical_form itself stops at order 8
+    import itertools
+
+    n = table.order
+    assert table.identity == 0
+    cells = [
+        (t, x, y) for t in (table.left, table.right) for x in range(n) for y in range(n)
+    ]
+    key = [t[x][y] for t, x, y in cells]
+    for images in itertools.permutations(range(1, n)):
+        p = (0,) + images
+        inv = [0] * n
+        for i, v in enumerate(p):
+            inv[v] = i
+        for (t, x, y), want in zip(cells, key):
+            img = p[t[inv[x]][inv[y]]]
+            if img != want:
+                if img < want:
+                    return False
+                break
+    return True
+
+
+def test_order_9_has_four_classes():
+    # The structure of the module docstring gives 2 + 1 + 1 classes at
+    # order 9: the groups Z9 and Z3 x Z3, the group core Z3 acting trivially
+    # on a pointed fiber of size 3, and the trivial digroup.
+    entries = enumerate_digroups(9, SearchOptions(allow_large=True))
+    assert len(entries) == 4
+    assert sum(e.group for e in entries) == 2
+    for e in entries:
+        assert validate_digroup(e.canonical).ok
+        assert is_lex_least(e.canonical)
 
 
 def test_out_of_order_solutions_are_rejected():
@@ -244,7 +283,7 @@ def test_instance_encoding_matches_axiom_checker():
 
     rng = random.Random(7)
     n = 3
-    insts, _, _, _ = _search_tables(n)
+    insts = _search_tables(n)[0]
     for _ in range(300):
         left = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         right = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
@@ -267,6 +306,27 @@ def test_unit_preseeding_is_sound(identity_suite):
             assert table.left[x][e] == x
             assert table.right[e][x] == x
             assert table.right[x][e] == table.left[e][x]
+
+
+def test_bijection_cut_is_sound(catalogs, identity_suite):
+    # in any digroup every column of ⇀ and every row of ↼ is a permutation of
+    # the carrier (search.py docstring), so cutting a repeated value in one of
+    # these lines loses no models
+    tables = [e.canonical for entries in catalogs.values() for e in entries]
+    order_7 = enumerate_digroups(7, SearchOptions(allow_large=True))
+    tables += [e.canonical for e in order_7]
+    tables += [rep for n in range(1, 7) for rep in expected_representatives(n)]
+    tables += list(identity_suite.values())
+    tables += [
+        direct_product(builtin("N"), builtin("Z2")),
+        direct_product(builtin("M"), builtin("Z4")),
+    ]
+    for table in tables:
+        carrier = set(table.elements())
+        for y in table.elements():
+            assert {table.left[x][y] for x in table.elements()} == carrier
+        for x in table.elements():
+            assert {table.right[x][y] for y in table.elements()} == carrier
 
 
 def test_count_by_class(catalogs):
