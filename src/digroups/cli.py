@@ -92,6 +92,9 @@ def _cmd_info(args) -> int:
     table, code = _load_valid_digroup(args.file)
     if table is None:
         return code
+    # The subset scan is the step that can refuse an order, so it runs
+    # before any line is printed.
+    subdigroups = all_subdigroups(table)
     liu = liu_inverse_map(table)
     print(f"order: {table.order}")
     print(f"identity: {table.label(table.identity)}")
@@ -101,7 +104,7 @@ def _cmd_info(args) -> int:
         "liu_inverse: "
         + ", ".join(f"{table.label(x)}->{table.label(liu(x))}" for x in table.elements())
     )
-    print(f"subdigroups: {len(all_subdigroups(table))}")
+    print(f"subdigroups: {len(subdigroups)}")
     return OK
 
 

@@ -44,15 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .morphisms import canonical_form, find_isomorphism
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
     DigroupTable,
     UnsupportedOrderError,
-    _check_batch,
+    _violations,
     builtin,
     is_commutative,
     is_group,
@@ -410,39 +408,29 @@ def enumerate_digroups(
 
 def naive_enumerate(n: int) -> list[CatalogEntry]:
     """Brute-force oracle: build every table pair consistent with the unit
-    constraints, decide the axioms on all of them in one batch, and keep
-    each one that passes and equals its canonical_form.  The candidates run
-    in canonical-key order, so the output matches enumerate_digroups
-    exactly."""
+    constraints, check each against the axioms until its first broken law,
+    and keep each one that passes and equals its canonical_form.  The
+    candidates run in canonical-key order, so the output matches
+    enumerate_digroups exactly."""
     if n > _NAIVE_CAP:
         raise UnsupportedOrderError(f"naive enumeration supports order <= {_NAIVE_CAP}")
     if n < 1:
         raise UnsupportedOrderError("order must be >= 1")
 
-    free_left = [(x, y) for x in range(n) for y in range(1, n)]
-    free_right = [(x, y) for x in range(1, n) for y in range(1, n)]
-    free = len(free_left) + len(free_right)
-    values = np.fromiter(
-        itertools.chain.from_iterable(itertools.product(range(n), repeat=free)),
-        dtype=np.uint8,
-        count=n**free * free,
-    ).reshape(n**free, free)
-    left = np.zeros((len(values), n, n), dtype=np.uint8)
-    right = np.zeros_like(left)
-    left[:, :, 0] = range(n)
-    right[:, 0, :] = range(n)
-    for k, (x, y) in enumerate(free_left):
-        left[:, x, y] = values[:, k]
-    for k, (x, y) in enumerate(free_right, len(free_left)):
-        right[:, x, y] = values[:, k]
-    right[:, 1:, 0] = left[:, 0, 1:]
-
-    found, _, _ = _check_batch(np.zeros(len(values), dtype=np.intp), left, right)
+    # Column e of ⇀ and row e of ↼ are the identity, and column e of ↼
+    # repeats row e of ⇀; the other cells run through every value, in
+    # canonical-key order: the free cells of ⇀ row by row, then those of ↼.
+    tails = list(itertools.product(range(n), repeat=n - 1))
+    rows = [[bytes((v,) + t) for t in tails] for v in range(n)]
+    unit = bytes(range(n))
     solutions = []
-    for b in np.flatnonzero(~found.any(axis=0)):
-        table = DigroupTable(n, 0, left[b].tolist(), right[b].tolist())
-        if canonical_form(table).table == table:
-            solutions.append((table.left, table.right))
+    for left in itertools.product(*rows):
+        for tail in itertools.product(*map(rows.__getitem__, left[0][1:])):
+            right = (unit,) + tail
+            if next(_violations(0, left, right), None) is None:
+                table = DigroupTable(n, 0, left, right)
+                if canonical_form(table).table == table:
+                    solutions.append((table.left, table.right))
     return _entries_from_solutions(n, solutions)
 
 

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence
 
 Element = int
 
@@ -54,16 +52,9 @@ DIGROUP_LAWS = (
 )
 
 # The axiom check decides n^3 triples per table; the cap bounds its time.
-# Its memory is O(_CHUNK_CELLS + n^2) per table.
+# Its memory is O(n^2).  The check holds rows as bytes and composes them with
+# bytes.translate, whose table has 256 entries, so the cap must stay <= 256.
 _VALIDATE_CAP = 200
-
-# Triples (x, y, z) per block of the batched diassociativity check.
-_CHUNK_CELLS = 1 << 16
-
-# The products A(x, B(y, z)) and A(B(x, y), z) that the diassociativity
-# check builds, as (outer A, inner B) indices with 0 for ⇀ and 1 for ↼.
-_AT_OUTER, _AT_INNER = np.array((0, 0, 1, 1)), np.array((0, 1, 0, 1))
-_OF_OUTER, _OF_INNER = np.array((0, 0, 0, 1, 1)), np.array((0, 0, 1, 1, 0))
 
 
 class DigroupError(Exception):
@@ -237,116 +228,73 @@ class Mapping:
         return Mapping(n, n, tuple(range(n)))
 
 
-def _check_batch(
-    identity: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide every digroup law on a batch of tables of one order.
+def _first_difference(a: bytes, b: bytes) -> int:
+    """The first index where two unequal byte strings of one length differ."""
+    bits = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return len(a) - 1 - (bits.bit_length() - 1) // 8
 
-    ``identity`` has shape (B,) and ``left``, ``right`` shape (B, n, n).
-    Returns ``(found, witnesses, sides)`` with a leading law axis in
-    ``DIGROUP_LAWS`` order: ``found[k, b]`` says whether table b breaks law
-    k; if so, ``witnesses[k, b]`` starts with its lexicographically first
-    witness (three entries for a diassociativity law, one for the others)
-    and ``sides[:, k, b]`` holds the law's two sides there.
 
-    The diassociativity sides are built for a block of tables and x-slices
-    at a time, covering at most ``_CHUNK_CELLS`` triples (x, y, z), or one
-    x-slice of n^2 triples where that is more.  Blocks run in (table, x)
-    order, so the first block that shows a table's mismatch holds its first
-    witness.
+def _violations(
+    e: Element, left: Sequence[bytes], right: Sequence[bytes]
+) -> Iterator[tuple[int, Violation]]:
+    """Yield ``(k, violation)`` for every law ``DIGROUP_LAWS[k]`` the tables
+    break, each with its lexicographically first witness.
+
+    ``left`` and ``right`` are the rows of ⇀ and ↼ as byte strings.  The
+    laws come out in no fixed order, each as soon as it is found, so a
+    caller that only asks whether a table is a digroup stops at the first.
+
+    For each x the eight products x⇀(y⇀z), x⇀(y↼z), x↼(y⇀z), x↼(y↼z) and
+    (x⇀y)⇀z, (x↼y)⇀z, (x↼y)↼z, (x⇀y)↼z are built for all (y, z) at once,
+    flattened as y*n + z: the first four by translating the flattened inner
+    table through row x, the last four by joining the rows that row x names.
+    Each diassociativity law is then one comparison per x, and x runs in
+    order, so the first x that breaks a law holds its first witness.
     """
-    count, n = left.shape[0], left.shape[1]
-    nn = n * n
-    # Elements, witnesses and sides all lie in 0..n-1.
-    element = np.min_scalar_type(n - 1)
-    laws = len(DIGROUP_LAWS)
-    found = np.zeros((laws, count), dtype=bool)
-    witnesses = np.zeros((laws, count, 3), dtype=element)
-    sides = np.zeros((2, laws, count), dtype=element)
+    n = len(left)
+    for x, row in enumerate(right):
+        y = row.find(e)
+        while y >= 0 and left[y][x] != e:
+            y = row.find(e, y + 1)
+        if y < 0:
+            yield 8, Violation(INVERSE_MISSING, (x,))
+            break
+    ident = bytes(range(n))
+    flat_l, flat_r = b"".join(left), b"".join(right)
+    for k, lhs, rhs in (
+        (5, flat_l[e::n], ident),  # x⇀e = x
+        (6, right[e], ident),  # e↼x = x
+        (7, flat_r[e::n], left[e]),  # x↼e = e⇀x
+    ):
+        if lhs != rhs:
+            x = _first_difference(lhs, rhs)
+            yield k, Violation(DIGROUP_LAWS[k], (x,), lhs[x], rhs[x])
 
-    # Product p of table b is table p*count + b of the stack, p = 0 for ⇀
-    # and 1 for ↼.  A[b, B[b, x, y], z] is row B[b, x, y] of that table, and
-    # A[b, x, B[b, y, z]] is its cell x*n + B[b, y, z].
-    tables = np.concatenate((left, right), dtype=element, casting="unsafe")
-    cells, rows = tables.ravel(), tables.reshape(2 * count * n, n)
-    inner = tables.reshape(2, count, n, n)
-    cell_base = np.arange(0, 2 * count * nn, nn).reshape(2, count, 1, 1, 1)
-    row_base = np.arange(0, 2 * count * n, n).reshape(2, count, 1, 1)
-
-    block = max(1, _CHUNK_CELLS // (nn * n))
-    x_step = max(1, min(n, _CHUNK_CELLS // nn))
-    for b0 in range(0, count, block):
-        b1 = min(count, b0 + block)
-        # at: x⇀(y⇀z), x⇀(y↼z), x↼(y⇀z), x↼(y↼z);
-        # of: (x⇀y)⇀z twice, (x↼y)⇀z, (x↼y)↼z, (x⇀y)↼z.  Laws 1-3 compare
-        # at[k] with of[k], law 4 of[4] with of[3], law 5 of[3] with at[3].
-        at_base = inner[_AT_INNER, b0:b1, None] + cell_base[_AT_OUTER, b0:b1]
-        of_rows = inner[_OF_INNER, b0:b1] + row_base[_OF_OUTER, b0:b1]
-        for x0 in range(0, n, x_step):
-            x1 = min(n, x0 + x_step)
-            at = cells[at_base + np.arange(x0 * n, x1 * n, n).reshape(-1, 1, 1)]
-            of = rows[of_rows[:, :, x0:x1]]
-            bad = np.empty(of.shape, dtype=bool)
-            np.not_equal(at[:3], of[:3], out=bad[:3])
-            np.not_equal(of[4], of[3], out=bad[3])
-            np.not_equal(of[3], at[3], out=bad[4])
-            if not bad.any():
-                continue
-            bad = bad.reshape(5, b1 - b0, -1)
-            k, r = np.nonzero(bad.any(axis=2) & ~found[:5, b0:b1])
-            c = bad[k, r].argmax(axis=1)
-            at = at.reshape(4, b1 - b0, -1)
-            of = of.reshape(5, b1 - b0, -1)
-            lhs = np.stack((at[0], of[1], of[2], of[4], of[3]))
-            rhs = np.stack((of[0], at[1], at[2], of[3], at[3]))
-            found[k, b0 + r] = True
-            witnesses[k, b0 + r] = np.stack((x0 + c // nn, c // n % n, c % n), axis=1)
-            sides[:, k, b0 + r] = lhs[k, r, c], rhs[k, r, c]
-
-    # The bar-unit laws compare L[b, x, e], R[b, e, x], R[b, x, e] with x, x
-    # and L[b, e, x]; the Liu inverse law needs some y with y⇀x = e = x↼y.
-    e = np.asarray(identity)
-    tb = np.arange(count)
-    row_e = inner[:, tb, e]  # [p, b, x] = product p of b at (e, x)
-    col_e = inner[:, tb, :, e]  # [b, p, x] = product p of b at (x, e)
-    xs = np.arange(n)
-    bad = np.empty((4, count, n), dtype=bool)
-    np.not_equal(col_e[:, 0], xs, out=bad[0])
-    np.not_equal(row_e[1], xs, out=bad[1])
-    np.not_equal(col_e[:, 1], row_e[0], out=bad[2])
-    is_e = inner == e.reshape(1, count, 1, 1)
-    np.logical_not((is_e[0].transpose(0, 2, 1) & is_e[1]).any(axis=2), out=bad[3])
-    found[5:] = bad.any(axis=2)
-    if found[5:].any():
-        first = bad.argmax(axis=2)
-        witnesses[5:, :, 0] = first
-        lhs = np.stack((col_e[:, 0], row_e[1], col_e[:, 1]))
-        sides[0, 5:8] = np.take_along_axis(lhs, first[:3, :, None], axis=2)[..., 0]
-        sides[1, 5:7] = first[:2]
-        sides[1, 7] = np.take_along_axis(row_e[0], first[2][:, None], axis=1)[:, 0]
-    return found, witnesses, sides
-
-
-def _report(
-    found: np.ndarray, witnesses: np.ndarray, sides: np.ndarray, row: int
-) -> ValidationReport:
-    """The report of one table of a checked batch."""
-    violations = []
-    for k in np.flatnonzero(found[:, row]):
-        law = DIGROUP_LAWS[k]
-        if law == INVERSE_MISSING:
-            violations.append(Violation(law, (int(witnesses[k, row, 0]),)))
-            continue
-        arity = 3 if k < 5 else 1
-        violations.append(
-            Violation(
-                law,
-                tuple(int(w) for w in witnesses[k, row, :arity]),
-                int(sides[0, k, row]),
-                int(sides[1, k, row]),
-            )
+    pad = bytes(256 - n)  # translate takes a 256-byte table: n <= 256
+    join, row_l, row_r = b"".join, left.__getitem__, right.__getitem__
+    open_laws = [0, 1, 2, 3, 4]
+    for x in range(n):
+        lx, rx = left[x] + pad, right[x] + pad
+        ll, rr = join(map(row_l, left[x])), join(map(row_r, right[x]))
+        sides = (
+            (flat_l.translate(lx), ll),  # x⇀(y⇀z) = (x⇀y)⇀z
+            (ll, flat_r.translate(lx)),  # (x⇀y)⇀z = x⇀(y↼z)
+            (join(map(row_l, right[x])), flat_l.translate(rx)),  # (x↼y)⇀z = x↼(y⇀z)
+            (join(map(row_r, left[x])), rr),  # (x⇀y)↼z = (x↼y)↼z
+            (rr, flat_r.translate(rx)),  # (x↼y)↼z = x↼(y↼z)
         )
-    return ValidationReport.from_violations(violations)
+        still_open = []
+        for k in open_laws:
+            lhs, rhs = sides[k]
+            if lhs == rhs:
+                still_open.append(k)
+                continue
+            i = _first_difference(lhs, rhs)
+            y, z = divmod(i, n)
+            yield k, Violation(DIGROUP_LAWS[k], (x, y, z), lhs[i], rhs[i])
+        if not still_open:
+            return
+        open_laws = still_open
 
 
 def _require_checkable(n: int) -> None:
@@ -363,17 +311,19 @@ def validate_digroup(table: DigroupTable) -> ValidationReport:
     Returns a deterministic report: per broken law, one violation carrying the
     lexicographically first witness.  Structural malformation never reaches
     this function; it is rejected by the :class:`DigroupTable` constructor.
-    The table is checked as a batch of one, in x-slices of bounded size, so
-    memory grows as n^2; orders above ``_VALIDATE_CAP`` raise
-    UnsupportedOrderError, since the time grows as n^3.
+    Rows are held as byte strings, so memory grows as n^2; orders above
+    ``_VALIDATE_CAP`` raise UnsupportedOrderError, since the time grows as
+    n^3.
     """
     _require_checkable(table.order)
-    checked = _check_batch(
-        np.array((table.identity,)),
-        np.array((table.left,), dtype=np.intp),
-        np.array((table.right,), dtype=np.intp),
+    found = _violations(
+        table.identity,
+        tuple(map(bytes, table.left)),
+        tuple(map(bytes, table.right)),
     )
-    return _report(*checked, 0)
+    return ValidationReport.from_violations(
+        v for _, v in sorted(found, key=lambda kv: kv[0])
+    )
 
 
 def ensure_valid(table: DigroupTable) -> DigroupTable:

@@ -1,6 +1,9 @@
 """Command line exit codes and output contracts."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -190,6 +193,27 @@ def test_info(n_file, capsys):
     assert "group: False" in out
     assert "subdigroups: 6" in out
     assert "β->α" in out
+
+
+def test_info_refuses_an_order_beyond_the_subset_scan_before_printing(
+    tmp_path, capsys
+):
+    path = tmp_path / "z20.json"
+    path.write_text(serialize_digroup(builtin("Z20")), encoding="utf-8")
+    assert run_cli(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, digroups; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_subs(n_file, capsys):
