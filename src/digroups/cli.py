@@ -12,14 +12,6 @@ import sys
 from typing import Optional
 
 from . import fileio
-from .morphisms import find_isomorphism
-from .search import (
-    count_by_class,
-    enumerate_digroups,
-    naive_enumerate,
-    verify_classification_claims,
-)
-from .subdigroups import all_subdigroups
 from .tables import (
     DigroupError,
     DigroupTable,
@@ -30,20 +22,16 @@ from .tables import (
     liu_inverse_map,
     validate_digroup,
 )
-from .translations import cayley_embedding
-from .triples import (
-    TripleValidationError,
-    digroup_from_triple,
-    triple_from_digroup,
-    validate_triple,
-)
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 1, 2
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise fileio.ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -89,6 +77,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .subdigroups import all_subdigroups
+
     table, code = _load_valid_digroup(args.file)
     if table is None:
         return code
@@ -109,6 +99,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_subs(args) -> int:
+    from .subdigroups import all_subdigroups
+
     table, code = _load_valid_digroup(args.file)
     if table is None:
         return code
@@ -118,6 +110,8 @@ def _cmd_subs(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .morphisms import find_isomorphism
+
     t1, code = _load_valid_digroup(args.file1)
     if t1 is None:
         return code
@@ -135,6 +129,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .translations import cayley_embedding
+
     table, code = _load_valid_digroup(args.file)
     if table is None:
         return code
@@ -144,6 +140,13 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_triple(args) -> int:
+    from .triples import (
+        TripleValidationError,
+        digroup_from_triple,
+        triple_from_digroup,
+        validate_triple,
+    )
+
     if args.action == "extract":
         table, code = _load_valid_digroup(args.file)
         if table is None:
@@ -166,6 +169,8 @@ def _cmd_triple(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .search import count_by_class, enumerate_digroups, naive_enumerate
+
     if args.naive:
         entries = naive_enumerate(args.order)
     else:
@@ -184,6 +189,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_claims(args) -> int:
+    from .search import verify_classification_claims
+
     report = verify_classification_claims(through=args.through)
     for claim in report.claims:
         status = "PASS" if claim.passed else "FAIL"

@@ -11,10 +11,8 @@ Parsing checks structure only; callers run the axiom checkers.
 from __future__ import annotations
 
 import json
-from .search import CatalogEntry
+
 from .tables import DigroupError, DigroupTable, MalformedTableError
-from .translations import TransformSet
-from .triples import StandardTriple
 
 
 class ParseError(DigroupError):
@@ -26,6 +24,10 @@ def _json_object(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer literal longer than
+        # int() accepts (sys.get_int_max_str_digits()).
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     return doc
@@ -114,6 +116,9 @@ def serialize_digroup(table: DigroupTable) -> str:
 
 
 def parse_triple(text: str) -> StandardTriple:
+    from .translations import TransformSet
+    from .triples import StandardTriple
+
     doc = _json_object(text)
     carrier = _require(doc, "carrier_size", int)
     group_rows = _int_matrix(doc, "group_part")
@@ -206,6 +211,8 @@ def catalog_lines(entries) -> list[str]:
 
 
 def parse_catalog_line(line: str) -> CatalogEntry:
+    from .search import CatalogEntry
+
     doc = _json_object(line)
     table = digroup_from_dict(doc)
     flags = _require(doc, "flags", dict)

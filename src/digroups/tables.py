@@ -466,7 +466,8 @@ def builtin(name: str) -> DigroupTable:
 
     Accepted names: ``M``, ``N``, ``trivial(k)``, ``cyclic(k)`` (alias ``Zk``),
     and ``S3``.  M and N reproduce their source tables bit-exactly under the
-    labels {0, a} and {e, α, β, γ, δ, ε}; M equals trivial(2).
+    labels {0, a} and {e, α, β, γ, δ, ε}; M equals trivial(2).  Orders above
+    ``_VALIDATE_CAP`` raise UnsupportedOrderError.
     """
     name = name.strip()
     if name == "M":
@@ -475,17 +476,23 @@ def builtin(name: str) -> DigroupTable:
         return DigroupTable(6, 0, _N_LEFT, _N_RIGHT, _N_LABELS)
     if name == "S3":
         return symmetric_group_3()
-    for prefix, factory in (("trivial", trivial_digroup), ("cyclic", cyclic_group)):
-        if name.startswith(prefix + "(") and name.endswith(")"):
-            body = name[len(prefix) + 1 : -1]
-            try:
-                k = int(body)
-            except ValueError:
-                raise DigroupError(f"bad order in builtin name {name!r}") from None
-            return factory(k)
     if name.startswith("Z") and name[1:].isdigit():
-        return cyclic_group(int(name[1:]))
-    raise DigroupError(f"unknown builtin {name!r}")
+        factory, body = cyclic_group, name[1:]
+    else:
+        for prefix, factory in (("trivial", trivial_digroup), ("cyclic", cyclic_group)):
+            if name.startswith(prefix + "(") and name.endswith(")"):
+                body = name[len(prefix) + 1 : -1]
+                break
+        else:
+            raise DigroupError(f"unknown builtin {name!r}")
+    try:
+        k = int(body)
+    except ValueError:
+        raise DigroupError(f"bad order in builtin name {name!r}") from None
+    # No command can check a larger table, and building one takes memory
+    # growing as k^2.
+    _require_checkable(k)
+    return factory(k)
 
 
 BUILTIN_NAMES = ("M", "N", "S3", "trivial(k)", "cyclic(k)", "Zk")

@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from digroups import (
     ParseError,
+    UnsupportedOrderError,
     builtin,
     cyclic_group,
     parse_digroup,
@@ -168,6 +169,51 @@ def test_check_exit_code_matches_parser_and_validator(tmp_path, doc):
         assert code == 2
         return
     assert code == (0 if validate_digroup(table).ok else 1)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary())
+@example(data=b"\xff\xfe")
+@example(data=b"[" * 200_000)
+@example(data=b"[" + b"1" * 5000 + b"]")
+def test_check_on_arbitrary_bytes_exits_with_a_code(tmp_path, data):
+    path = tmp_path / "doc.bin"
+    path.write_bytes(data)
+    assert run_cli(["check", str(path)]) in (0, 1, 2)
+
+
+def test_check_reports_undecodable_and_overdeep_files_as_input_errors(tmp_path, capsys):
+    for name, data in (
+        ("utf16.json", b"\xff\xfe"),
+        ("deep.json", b"[" * 200_000),
+        ("long_int.json", b'{"order": ' + b"1" * 5000 + b"}"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run_cli(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_builtin_refuses_orders_beyond_the_validator_cap_before_building(capsys):
+    assert builtin("Z200").order == 200
+    tracemalloc.start()
+    try:
+        for name in ("Z2000", "cyclic(201)", "trivial(201)"):
+            with pytest.raises(UnsupportedOrderError):
+                builtin(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert run_cli(["builtin", "Z201"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    for name in ("Z²", "Z" + "1" * 5000):
+        assert run_cli(["builtin", name]) == 2
+        assert capsys.readouterr().err.startswith("error: bad order")
 
 
 def test_missing_file_is_input_error(capsys):
