@@ -74,7 +74,7 @@ class ConstructionError(DigroupError):
 
 
 def _as_matrix(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ class DigroupTable:
                     raise MalformedTableError(
                         f"{name} table row {x} must have {n} entries, found {len(row)}"
                     )
-                for y, v in enumerate(row):
-                    if not (0 <= v < n):
-                        raise MalformedTableError(
-                            f"entry {v} out of range at {name}[{x}][{y}]"
-                        )
+                if min(row) < 0 or max(row) >= n:
+                    y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < n)
+                    raise MalformedTableError(
+                        f"entry {v} out of range at {name}[{x}][{y}]"
+                    )
         if self.labels is not None:
             if len(self.labels) != n:
                 raise MalformedTableError(
@@ -184,15 +184,15 @@ class Mapping:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
-        if len(self.image) != self.domain_size:
+        object.__setattr__(self, "image", tuple(map(int, self.image)))
+        n, m, image = self.domain_size, self.codomain_size, self.image
+        if len(image) != n:
             raise MalformedTableError(
-                f"mapping image has {len(self.image)} entries, "
-                f"expected {self.domain_size}"
+                f"mapping image has {len(image)} entries, expected {n}"
             )
-        for x, v in enumerate(self.image):
-            if not (0 <= v < self.codomain_size):
-                raise MalformedTableError(f"mapping image[{x}] = {v} out of range")
+        if image and (min(image) < 0 or max(image) >= m):
+            x, v = next((x, v) for x, v in enumerate(image) if not 0 <= v < m)
+            raise MalformedTableError(f"mapping image[{x}] = {v} out of range")
 
     def __call__(self, x: int) -> int:
         return self.image[x]

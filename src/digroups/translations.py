@@ -7,12 +7,13 @@ For an element a of a digroup there are four translation maps:
     and their right-handed mirrors x -> x ⇀ a, x -> x ↼ a (columns).
 
 Each translation is a transform: a self-map of the carrier held as a
-``Mapping(n, n, row)`` and composed with ``Mapping.compose``.  Read as sets
-of transforms these collapse: translations by the right product form a group
-under composition, while the family x -> a ⇀ x is a semigroup with a right
-unit and left inverses, always of size n because it is labeled injectively by
-a = f(e).  The map phi sending the semigroup-part transform of a to its
-group-part transform is a semigroup homomorphism.
+``Mapping(n, n, row)``, and as a byte string in its ``TransformSet`` for
+composing.  Read as sets of transforms these collapse: translations by the
+right product form a group under composition, while the family x -> a ⇀ x
+is a semigroup with a right unit and left inverses, always of size n because
+it is labeled injectively by a = f(e).  The map phi sending the
+semigroup-part transform of a to its group-part transform is a semigroup
+homomorphism.
 
 Composing the two families pairwise turns (group part) x (semi part) into a
 digroup, and a -> (both translations of a) embeds the original digroup onto
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .morphisms import find_isomorphism, is_homomorphism, relabel
+from .morphisms import is_homomorphism, relabel
 from .subdigroups import SubsetMask, is_subdigroup, restrict
 from .tables import (
     ConstructionError,
@@ -83,6 +84,9 @@ class TransformSet:
     label_of: Mapping
 
     def __post_init__(self):
+        n = self.carrier_size
+        if any((t.domain_size, t.codomain_size) != (n, n) for t in self.transforms):
+            raise MalformedTableError(f"transforms must be self-maps of {n} points")
         images = [t.image for t in self.transforms]
         if len(set(images)) != len(images):
             raise MalformedTableError("transform set contains duplicate functions")
@@ -93,19 +97,31 @@ class TransformSet:
         return len(self.transforms)
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {t.image: i for i, t in enumerate(self.transforms)}
+    def _rows(self) -> tuple[bytes, ...]:
+        """The members as byte strings, the form composing loops use."""
+        _require_checkable(self.carrier_size)  # translate tables have 256 entries
+        return tuple(bytes(t.image) for t in self.transforms)
+
+    @cached_property
+    def _after(self) -> tuple[bytes, ...]:
+        """Per member f, the translate table with h.translate(table) = f∘h."""
+        return tuple(row.ljust(256, b"\0") for row in self._rows)
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {row: i for i, row in enumerate(self._rows)}
 
     def index_of(self, t: Mapping) -> Optional[int]:
-        """Index of a transform by extension, or None if absent."""
-        return self._index.get(t.image)
+        """Index of a transform by extension, or None if absent.  Carriers
+        beyond the axiom check's cap raise UnsupportedOrderError."""
+        return self._index.get(bytes(t.image))
 
     @staticmethod
     def from_rows(rows, labeled_by_element: bool = True) -> "TransformSet":
         """Build from per-element image rows, deduplicating in first-seen
         order.  With labeled_by_element=False the rows are taken as already
         distinct transforms labeled by their own position."""
-        rows = [tuple(int(v) for v in row) for row in rows]
+        rows = [tuple(map(int, row)) for row in rows]
         if not rows:
             raise MalformedTableError("transform set needs at least one transform")
         n = len(rows[0])
@@ -196,39 +212,33 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     e = table.identity
     triple, liu = _triple_and_liu(table)
     group, semi = triple.group_part, triple.semi_part
-    ident = Mapping.identity(n)
-
-    def grp(a: Element) -> Mapping:
-        return group.transforms[group.label_of(a)]
-
-    def sem(a: Element) -> Mapping:
-        return semi.transforms[semi.label_of(a)]
+    ident = bytes(range(n))
+    # Per element a: grp(a) and sem(a) as rows, and their translate tables.
+    grp, sem = ([t._rows[k] for k in t.label_of.image] for t in (group, semi))
+    gt, st = ([t._after[k] for k in t.label_of.image] for t in (group, semi))
 
     found: dict[str, Violation] = {}
 
-    if grp(e) != ident:
+    if grp[e] != ident:
         _first_violation(found, TRANS_GRP_IDENTITY, (e,))
-    for a in range(n):
-        ai = liu(a)
-        if grp(ai).compose(grp(a)) != ident or grp(a).compose(grp(ai)) != ident:
+    for a, ai in enumerate(liu.image):
+        if grp[a].translate(gt[ai]) != ident or grp[ai].translate(gt[a]) != ident:
             _first_violation(found, TRANS_GRP_INVERSE, (a,))
 
-    for a in range(n):
-        for b in range(n):
-            lab = table.left[a][b]
-            rab = table.right[a][b]
-            ab = grp(a).compose(grp(b))
-            if grp(lab) != ab:
+    for a, (ga, sa) in enumerate(zip(gt, st)):
+        for b, (lab, rab) in enumerate(zip(table.left[a], table.right[a])):
+            ab = grp[b].translate(ga)
+            if grp[lab] != ab:
                 _first_violation(found, TRANS_GRP_LPROD, (a, b))
-            if grp(rab) != ab:
+            if grp[rab] != ab:
                 _first_violation(found, TRANS_GRP_RPROD, (a, b))
             # The composite grp(a)∘semi(b) evaluates x to a↼(b⇀x), which the
             # mixed associativity law rewrites to (a↼b)⇀x: the semi transform
             # of a↼b.  This is also what keeps the product construction's
             # right operation well-defined.
-            if sem(rab) != grp(a).compose(sem(b)):
+            if sem[rab] != sem[b].translate(ga):
                 _first_violation(found, TRANS_MIXED_RPROD, (a, b))
-            if sem(lab) != sem(a).compose(sem(b)):
+            if sem[lab] != sem[b].translate(sa):
                 _first_violation(found, TRANS_SEMI_PROD, (a, b))
 
     ordered = [found[law] for law in TRANSLATION_LAWS if law in found]
@@ -259,8 +269,8 @@ def _composition_table(ts: TransformSet, what: str) -> list[list[int]]:
     """Index of transforms[i]∘transforms[k] for every pair, which must stay
     in the set."""
     rows = []
-    for a in ts.transforms:
-        row = [ts.index_of(a.compose(b)) for b in ts.transforms]
+    for after in ts._after:
+        row = [ts._index.get(h.translate(after)) for h in ts._rows]
         if None in row:
             raise ConstructionError(f"{what} not closed under composition")
         rows.append(row)
@@ -276,15 +286,15 @@ def _triple_table(
     phi(f)∘g, identity (identity transform, right unit).  Products beyond
     the axiom check's cap are refused before any table is built."""
     _require_checkable(len(group) * len(semi))
-    ident = group.index_of(Mapping.identity(group.carrier_size))
+    ident = group._index.get(bytes(range(group.carrier_size)))
     if ident is None:
         raise ConstructionError("group part lacks the identity transform")
     first = _composition_table(group, "group part")
     second = _composition_table(semi, "semi part")
     right_second = []
     for pj in phi:
-        pf = group.transforms[pj]
-        row = [semi.index_of(pf.compose(h)) for h in semi.transforms]
+        after = group._after[pj]
+        row = [semi._index.get(h.translate(after)) for h in semi._rows]
         if None in row:
             raise ConstructionError("phi image does not absorb into the semi part")
         right_second.append(row)
@@ -337,14 +347,17 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
 
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
+    # An injective homomorphism onto a subdigroup, re-indexed as ``restrict``
+    # orders it, is an isomorphism exactly when it is a homomorphism there.
     if len(set(prod.eta.image)) != source.order:
         raise ConstructionError(f"{what}: embedding is not injective")
     if not is_homomorphism(source, prod.table, prod.eta):
         raise ConstructionError(f"{what}: embedding is not a homomorphism")
     if not is_subdigroup(prod.table, prod.diagonal):
         raise ConstructionError(f"{what}: diagonal is not a subdigroup")
-    restricted = restrict(prod.table, prod.diagonal)
-    if find_isomorphism(source, restricted) is None:
+    position = {p: i for i, p in enumerate(sorted(prod.eta.image))}
+    onto = Mapping(source.order, source.order, [position[p] for p in prod.eta.image])
+    if not is_homomorphism(source, restrict(prod.table, prod.diagonal), onto):
         raise ConstructionError(f"{what}: diagonal is not isomorphic to the source")
 
 

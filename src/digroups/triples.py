@@ -19,8 +19,8 @@ standard triple yields a digroup on (group) x (semigroup) pairs:
     (α, f) ↼ (β, g) = (α∘β, phi(f)∘g)
 
 with identity (1, e) and Liu inverse (α⁻¹, linv(f)).  Transforms are
-``Mapping`` self-maps of the carrier, so composition, identity and group
-inverses are ``Mapping``'s own.  The translation product is this
+``Mapping`` self-maps of the carrier, composed and inverted as the byte
+strings their ``TransformSet`` holds.  The translation product is this
 construction on the extracted triple, built by the same table builder, and
 ``verify_translation_identities`` reports the violations of these laws on the
 extracted triple; both modules record violations through the same collector.
@@ -106,8 +106,8 @@ class StandardTriple:
     phi: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "left_inverse", tuple(int(v) for v in self.left_inverse))
-        object.__setattr__(self, "phi", tuple(int(v) for v in self.phi))
+        object.__setattr__(self, "left_inverse", tuple(map(int, self.left_inverse)))
+        object.__setattr__(self, "phi", tuple(map(int, self.phi)))
         ng, ns = len(self.group_part), len(self.semi_part)
         if self.group_part.carrier_size != self.carrier_size:
             raise MalformedTableError("group part carrier size mismatch")
@@ -130,61 +130,61 @@ def validate_triple(triple: StandardTriple) -> ValidationReport:
     Triples whose carrier, group part or semi part exceeds the axiom check's
     order cap raise UnsupportedOrderError; the triple of any checkable
     digroup stays within it."""
-    g = triple.group_part
-    s = triple.semi_part
-    _require_checkable(max(triple.carrier_size, len(g), len(s)))
+    g, s = triple.group_part, triple.semi_part
+    n = triple.carrier_size
+    _require_checkable(max(n, len(g), len(s)))
+    # Members as byte rows with their translate tables (see translations.py):
+    # f∘h is h.translate(after of f); phi_of maps semi rows to phi rows.
+    G, S, GA, SA = g._rows, s._rows, g._after, s._after
+    ident = bytes(range(n))
     eu = triple.right_unit
-    unit = s.transforms[eu]
+    unit = S[eu]
+    phis = [G[k] for k in triple.phi]
+    phi_of = dict(zip(S, phis))
 
     found: dict[str, Violation] = {}
 
-    for i, t in enumerate(g.transforms):
-        if not t.is_bijection():
+    for i, a in enumerate(G):
+        if len(set(a)) != n:
             _first_violation(found, GROUP_BIJECTION, (i,))
-    if g.index_of(Mapping.identity(triple.carrier_size)) is None:
+    if ident not in g._index:
         _first_violation(found, GROUP_IDENTITY, ())
-    for i, a in enumerate(g.transforms):
-        for k, b in enumerate(g.transforms):
-            if g.index_of(a.compose(b)) is None:
+    for i, (a, after) in enumerate(zip(G, GA)):
+        for k, b in enumerate(G):
+            if b.translate(after) not in g._index:
                 _first_violation(found, GROUP_CLOSURE, (i, k))
-        if a.is_bijection() and g.index_of(a.inverse()) is None:
+        if len(set(a)) == n and bytes.maketrans(a, ident)[:n] not in g._index:
             _first_violation(found, GROUP_INVERSE, (i,))
 
-    for j, f in enumerate(s.transforms):
-        for l, h in enumerate(s.transforms):
-            if s.index_of(f.compose(h)) is None:
+    for j, (f, after) in enumerate(zip(S, SA)):
+        for l, h in enumerate(S):
+            if h.translate(after) not in s._index:
                 _first_violation(found, SEMI_CLOSURE, (j, l))
-        if f.compose(unit) != f:
+        if unit.translate(after) != f:
             _first_violation(found, SEMI_RIGHT_UNIT, (j,))
-        if s.transforms[triple.left_inverse[j]].compose(f) != unit:
+        if f.translate(SA[triple.left_inverse[j]]) != unit:
             _first_violation(found, SEMI_LEFT_INVERSE, (j,))
 
-    def phi_of(f: Mapping) -> Mapping | None:
-        j = s.index_of(f)
-        return g.transforms[triple.phi[j]] if j is not None else None
-
-    for j, f in enumerate(s.transforms):
-        pf = g.transforms[triple.phi[j]]
-        if pf.compose(s.transforms[triple.left_inverse[j]]) != unit:
+    for j, f in enumerate(S):
+        fa, pfa = SA[j], GA[triple.phi[j]]
+        if S[triple.left_inverse[j]].translate(pfa) != unit:
             _first_violation(found, PHI_LEFT_INVERSE, (j,))
         if j == eu:
-            for l, h in enumerate(s.transforms):
-                if pf.compose(h) != h:
+            for l, h in enumerate(S):
+                if h.translate(pfa) != h:
                     _first_violation(found, PHI_UNIT_ACTS, (l,))
-        if unit.compose(f) != pf.compose(unit):
+        if f.translate(SA[eu]) != unit.translate(pfa):
             _first_violation(found, PHI_UNIT_SWAP, (j,))
-        for l, h in enumerate(s.transforms):
-            ph = g.transforms[triple.phi[l]]
-            composed_phi = phi_of(f.compose(h))
-            if composed_phi is None or composed_phi != pf.compose(ph):
+        for l, (h, ph) in enumerate(zip(S, phis)):
+            # f∘h, phi(f)∘h and phi(f)∘phi(h)
+            fh, mixed, pfph = h.translate(fa), h.translate(pfa), ph.translate(pfa)
+            if phi_of.get(fh) != pfph:
                 _first_violation(found, PHI_HOMOMORPHISM, (j, l))
-            mixed = pf.compose(h)
-            if s.index_of(mixed) is None:
+            if mixed not in s._index:
                 _first_violation(found, PHI_ABSORB, (j, l))
-            if f.compose(ph) != f.compose(h):
+            if ph.translate(fa) != fh:
                 _first_violation(found, PHI_RIGHT_ABSORB, (j, l))
-            mixed_phi = phi_of(mixed)
-            if mixed_phi is None or mixed_phi != pf.compose(ph):
+            if phi_of.get(mixed) != pfph:
                 _first_violation(found, PHI_COMPOSE, (j, l))
 
     ordered = [found[law] for law in TRIPLE_LAWS if law in found]

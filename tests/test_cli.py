@@ -120,6 +120,15 @@ def test_triple_check_refuses_a_large_carrier(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["Z200", "trivial(200)"])
+def test_triple_check_at_the_carrier_cap(tmp_path, capsys, name):
+    # Z200's carrier, group part and semi part all sit at the cap
+    path = tmp_path / "triple.json"
+    path.write_text(serialize_triple(triple_from_digroup(builtin(name))), encoding="utf-8")
+    assert run_cli(["triple", "check", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 @st.composite
 def _documents(draw):
     """Digroup documents of order 1-4 with arbitrary integer entries,

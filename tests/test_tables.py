@@ -249,6 +249,22 @@ def test_structural_malformation_raises_distinctly():
         DigroupTable(0, 0, (), ())  # empty carrier
 
 
+def test_range_errors_name_the_first_bad_entry():
+    # each row has two bad entries; the smallest and the largest come second
+    good = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    left = (good[0], (5, 0, 7), good[2])
+    with pytest.raises(MalformedTableError) as exc:
+        DigroupTable(3, 0, left, good)
+    assert str(exc.value) == "entry 5 out of range at left[1][0]"
+    right = (good[0], good[1], (2, 9, -1))
+    with pytest.raises(MalformedTableError) as exc:
+        DigroupTable(3, 0, good, right)
+    assert str(exc.value) == "entry 9 out of range at right[2][1]"
+    with pytest.raises(MalformedTableError) as exc:
+        Mapping(3, 3, (0, 4, -1))
+    assert str(exc.value) == "mapping image[1] = 4 out of range"
+
+
 def test_direct_product_properties(m_table):
     z2 = cyclic_group(2)
     prod = direct_product(m_table, z2)

@@ -6,7 +6,9 @@ import pytest
 
 from digroups import (
     DigroupTable,
+    MalformedTableError,
     Mapping,
+    TransformSet,
     builtin,
     cayley_embedding,
     cyclic_group,
@@ -185,6 +187,32 @@ def test_cayley_embedding_properties(identity_suite):
         assert is_subdigroup(prod.table, prod.diagonal)
         diag = restrict(prod.table, prod.diagonal)
         assert find_isomorphism(table, diag) is not None, name
+
+
+def test_embeddings_run_no_isomorphism_search(monkeypatch, catalogs):
+    # eta is checked as an isomorphism onto the restricted diagonal directly,
+    # so neither construction may fall back on the backtracking search
+    def refuse(*args):
+        raise AssertionError("construction ran find_isomorphism")
+
+    monkeypatch.setattr("digroups.morphisms.find_isomorphism", refuse)
+    monkeypatch.setattr("digroups.translations.find_isomorphism", refuse, raising=False)
+    tables = [entry.canonical for n in range(1, 7) for entry in catalogs[n]]
+    tables += [
+        direct_product(builtin("N"), builtin("Z2")),
+        direct_product(builtin("M"), builtin("Z4")),
+    ]
+    for table in tables:
+        for build in (cayley_embedding, right_translation_product):
+            prod = build(table)
+            assert sorted(prod.diagonal.members) == sorted(prod.eta.image)
+
+
+def test_transform_set_rejects_members_of_another_carrier():
+    with pytest.raises(MalformedTableError, match="self-maps of 3 points"):
+        TransformSet(3, (Mapping(2, 2, (0, 1)),), Mapping(1, 1, (0,)))
+    with pytest.raises(MalformedTableError, match="self-maps of 3 points"):
+        TransformSet(3, (Mapping(3, 2, (0, 1, 1)),), Mapping(1, 1, (0,)))
 
 
 def test_liu_inverse_in_product_is_componentwise(n_table):

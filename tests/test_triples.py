@@ -8,6 +8,8 @@ import pytest
 from digroups import (
     DigroupTable,
     Mapping,
+    ValidationReport,
+    Violation,
     StandardTriple,
     TransformSet,
     TripleValidationError,
@@ -27,7 +29,8 @@ from digroups import (
     verify_translation_identities,
 )
 from digroups.tables import INVERSE_MISSING
-from digroups.triples import SEMI_RIGHT_UNIT
+from digroups import triples as tr
+from digroups.triples import SEMI_RIGHT_UNIT, TRIPLE_LAWS
 
 
 def test_triple_sizes(m_table, n_table):
@@ -268,3 +271,86 @@ def test_triple_layer_is_byte_stable(name):
         ),
     )
     assert got == TRIPLE_LAYER_DIGESTS[name]
+
+
+def _reference_triple_report(triple):
+    """validate_triple as loops over ``Mapping.compose``, finding members by
+    their image tuples: the oracle for the byte-string composition."""
+    g, s = triple.group_part, triple.semi_part
+    g_index = {t.image: i for i, t in enumerate(g.transforms)}
+    s_index = {t.image: i for i, t in enumerate(s.transforms)}
+    eu = triple.right_unit
+    unit = s.transforms[eu]
+    found = {}
+
+    def record(law, witnesses):
+        found.setdefault(law, Violation(law, witnesses))
+
+    for i, t in enumerate(g.transforms):
+        if not t.is_bijection():
+            record(tr.GROUP_BIJECTION, (i,))
+    if Mapping.identity(triple.carrier_size).image not in g_index:
+        record(tr.GROUP_IDENTITY, ())
+    for i, a in enumerate(g.transforms):
+        for k, b in enumerate(g.transforms):
+            if a.compose(b).image not in g_index:
+                record(tr.GROUP_CLOSURE, (i, k))
+        if a.is_bijection() and a.inverse().image not in g_index:
+            record(tr.GROUP_INVERSE, (i,))
+
+    for j, f in enumerate(s.transforms):
+        for l, h in enumerate(s.transforms):
+            if f.compose(h).image not in s_index:
+                record(tr.SEMI_CLOSURE, (j, l))
+        if f.compose(unit) != f:
+            record(tr.SEMI_RIGHT_UNIT, (j,))
+        if s.transforms[triple.left_inverse[j]].compose(f) != unit:
+            record(tr.SEMI_LEFT_INVERSE, (j,))
+
+    def phi_of(f):
+        j = s_index.get(f.image)
+        return g.transforms[triple.phi[j]] if j is not None else None
+
+    for j, f in enumerate(s.transforms):
+        pf = g.transforms[triple.phi[j]]
+        if pf.compose(s.transforms[triple.left_inverse[j]]) != unit:
+            record(tr.PHI_LEFT_INVERSE, (j,))
+        if j == eu:
+            for l, h in enumerate(s.transforms):
+                if pf.compose(h) != h:
+                    record(tr.PHI_UNIT_ACTS, (l,))
+        if unit.compose(f) != pf.compose(unit):
+            record(tr.PHI_UNIT_SWAP, (j,))
+        for l, h in enumerate(s.transforms):
+            ph = g.transforms[triple.phi[l]]
+            composed_phi = phi_of(f.compose(h))
+            if composed_phi is None or composed_phi != pf.compose(ph):
+                record(tr.PHI_HOMOMORPHISM, (j, l))
+            mixed = pf.compose(h)
+            if mixed.image not in s_index:
+                record(tr.PHI_ABSORB, (j, l))
+            if f.compose(ph) != f.compose(h):
+                record(tr.PHI_RIGHT_ABSORB, (j, l))
+            mixed_phi = phi_of(mixed)
+            if mixed_phi is None or mixed_phi != pf.compose(ph):
+                record(tr.PHI_COMPOSE, (j, l))
+
+    return ValidationReport.from_violations(
+        [found[law] for law in TRIPLE_LAWS if law in found]
+    )
+
+
+def test_validate_triple_matches_the_compose_oracle(catalogs):
+    tables = [entry.canonical for n in range(1, 7) for entry in catalogs[n]]
+    tables += [_triple_layer_input("NxZ2"), _triple_layer_input("MxZ4")]
+    rng = random.Random("triple-oracle")
+    failing = 0
+    for table in tables:
+        triple = triple_from_digroup(table)
+        # a one-point carrier has no other value to corrupt a cell to
+        corrupted = _corrupted_triples(triple, rng, 20) if table.order > 1 else []
+        for t in [triple] + corrupted:
+            report = validate_triple(t)
+            assert report == _reference_triple_report(t)
+            failing += not report.ok
+    assert failing == 20 * (len(tables) - 1)
