@@ -271,9 +271,6 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else OK
     try:
         return args.func(args)
-    except (fileio.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except DigroupError as exc:
+    except (DigroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -7,9 +7,8 @@ the right table is tied cell-by-cell to row e of the left table.  Every
 diassociativity instance links the two inner-product cells of a triple
 (x, y, z) to its two outer cells; once both inner products are known the
 outer cells must agree, which assigns a value, detects a conflict, or records
-an equality edge between two still-open cells.  Branches where some element
-can no longer reach a Liu inverse are cut, as are partial assignments that
-are lexicographically above one of their identity-fixing relabelings.
+an equality edge between two still-open cells.  Partial assignments that are
+lexicographically above one of their identity-fixing relabelings are cut.
 
 The axioms also force two families of bijections.  Given y, take its Liu
 inverse u, so u⇀y = e = y↼u.
@@ -21,6 +20,14 @@ inverse u, so u⇀y = e = y↼u.
 A partial table that repeats a value in a ⇀ column or a ↼ row therefore
 cannot complete, and the search refuses any such assignment.  This cuts no
 digroup, so the catalogs are unchanged.
+
+No Liu-inverse cut is needed either: every leaf has them.  At a leaf each
+⇀ column and ↼ row is a bijection and every law instance has fired.  Given
+x, let u be the element with x↼u = e.  Then x↼(e⇀u) = (x↼e)⇀u by
+DIASSOC_3, = (e⇀x)⇀u by the bar-unit swap, = e⇀(x↼u) by DIASSOC_2, = e;
+row x of ↼ is a bijection, so e⇀u = u.  The y with y⇀x = e then satisfies
+y = y⇀(x↼u) = (y⇀x)⇀u = e⇀u = u by DIASSOC_2, so u is the Liu inverse of
+x.  _entries_from_solutions still re-validates every emitted table.
 
 The seeded cells agree with their image under every identity-fixing
 relabeling, so comparing the open cells in canonical-key order is comparing
@@ -284,20 +291,6 @@ class _Search:
             else:
                 self.eq[~c].pop()
 
-    def _liu_feasible(self) -> bool:
-        # Element x can still get a Liu inverse iff some y has left[y][x] and
-        # right[x][y] both unknown-or-identity (identity is 0 here).
-        n = self.n
-        nn = n * n
-        val = self.val
-        for x in range(n):
-            for y in range(n):
-                if val[y * n + x] <= 0 and val[nn + x * n + y] <= 0:
-                    break
-            else:
-                return False
-        return True
-
     def _lex_filter(self, active):
         """Advance every still-active relabeling; None means the current
         assignment is lexicographically above one of its images and the node
@@ -340,10 +333,9 @@ class _Search:
         self.solutions.append((left, right))
 
     def run(self) -> list[tuple[tuple, tuple]]:
-        # No root checks: the first branching cell e⇀1 is still open after
+        # No root check: the first branching cell e⇀1 is still open after
         # seeding (it is 1 in Z_n and e in the trivial digroup), so no
-        # relabeling can compare yet, and Z_n keeps every Liu inverse
-        # reachable.
+        # relabeling can compare yet.
         self._dfs(0, [(pid, 0) for pid in range(len(self.perms))])
         return self.solutions
 
@@ -358,7 +350,7 @@ class _Search:
         cell = bcells[bpos]
         for v in range(self.n):
             mark = len(self.trail)
-            if self._try(cell, v) and self._liu_feasible():
+            if self._try(cell, v):
                 new_active = self._lex_filter(active)
                 if new_active is not None:
                     self._dfs(bpos + 1, new_active)

@@ -26,8 +26,9 @@ read the digroup's products or Liu inverses before running the triple laws
 on the extracted triple, and both record violations through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
-translations, and the mirrored product is its left product, taken opposite
-again and relabelled (i, j) -> (j, i).  It is verified at construction time.
+translations, and the pair-table builder fills the mirrored product from
+their index tables, transposed, with the components swapped.  Both products
+are verified at construction time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .morphisms import is_homomorphism, relabel
-from .subdigroups import SubsetMask, is_subdigroup, restrict
+from .morphisms import is_homomorphism
+from .subdigroups import SubsetMask, is_subdigroup
 from .tables import (
     ConstructionError,
     DigroupTable,
@@ -265,16 +266,34 @@ class ProductDigroup:
     second_parts: TransformSet
 
 
-def _composition_table(ts: TransformSet, what: str) -> list[list[int]]:
-    """Index of transforms[i]∘transforms[k] for every pair, which must stay
-    in the set."""
+def _composition_table(afters, ts: TransformSet, error: str) -> list[list[int]]:
+    """Per translate table of a transform f, the index in ts of f∘h for every
+    member h; each composite must lie in ts."""
     rows = []
-    for after in ts._after:
+    for after in afters:
         row = [ts._index.get(h.translate(after)) for h in ts._rows]
         if None in row:
-            raise ConstructionError(f"{what} not closed under composition")
+            raise ConstructionError(error)
         rows.append(row)
     return rows
+
+
+def _index_tables(group: TransformSet, semi: TransformSet, phi: Sequence[int]):
+    """What the pair digroup of standard-triple data is filled from: the
+    index of the identity transform in the group part, and the index tables
+    of α∘β (group part), f∘g (semi part) and phi(f)∘g (semi part).  Products
+    beyond the axiom check's cap are refused before any table is built."""
+    _require_checkable(len(group) * len(semi))
+    ident = group._index.get(bytes(range(group.carrier_size)))
+    if ident is None:
+        raise ConstructionError("group part lacks the identity transform")
+    first, second = (
+        _composition_table(ts._after, ts, f"{what} not closed under composition")
+        for ts, what in ((group, "group part"), (semi, "semi part"))
+    )
+    absorb = "phi image does not absorb into the semi part"
+    mixed = _composition_table([group._after[pj] for pj in phi], semi, absorb)
+    return ident, first, second, mixed
 
 
 def _triple_table(
@@ -283,52 +302,22 @@ def _triple_table(
     """The unvalidated pair digroup of standard-triple data: pairs (i, j) of
     group and semi indices, the left product composing both components, the
     right product composing first components and setting the second to
-    phi(f)∘g, identity (identity transform, right unit).  Products beyond
-    the axiom check's cap are refused before any table is built."""
-    _require_checkable(len(group) * len(semi))
-    ident = group._index.get(bytes(range(group.carrier_size)))
-    if ident is None:
-        raise ConstructionError("group part lacks the identity transform")
-    first = _composition_table(group, "group part")
-    second = _composition_table(semi, "semi part")
-    right_second = []
-    for pj in phi:
-        after = group._after[pj]
-        row = [semi._index.get(h.translate(after)) for h in semi._rows]
-        if None in row:
-            raise ConstructionError("phi image does not absorb into the semi part")
-        right_second.append(row)
-    return _pair_table(first, first, second, right_second, (ident, right_unit))
+    phi(f)∘g, identity (identity transform, right unit)."""
+    ident, first, second, mixed = _index_tables(group, semi, phi)
+    return _pair_table(first, first, second, mixed, (ident, right_unit))
 
 
-def _translation_product(table: DigroupTable) -> ProductDigroup:
-    """translation_product_digroup without the final axiom check."""
-    n = table.order
-    e = table.identity
-    group, semi = pair = left_translations(table)
-    s = len(semi)
-    product = _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
-
-    # The right product's second component is the semi transform of b ↼ d,
-    # where b and d are the second components' labels recovered as f(e); the
-    # transform route phi(f)∘g that built it must agree.  Cell [j][l] is the
-    # product of the pairs (0, j) and (0, l), so that route's value is the
-    # cell's second component, its index mod |semi|.
-    for j, f in enumerate(semi.transforms):
-        for l, h in enumerate(semi.transforms):
-            by_label = semi.label_of(table.right[f(e)][h(e)])
-            by_transform = product.right[j][l] % s
-            if by_transform != by_label:
-                raise ConstructionError(
-                    "right product second component is not well-defined: "
-                    f"label route gives {by_label}, transform route {by_transform}"
-                )
-
-    pair_labels = tuple((i, j) for i in range(len(group)) for j in range(s))
-    eta_image = tuple(group.label_of(a) * s + semi.label_of(a) for a in range(n))
+def _embedded(
+    n: int, product: DigroupTable, first: TransformSet, second: TransformSet
+) -> ProductDigroup:
+    """The pair table on (first) x (second) with the diagonal embedding of
+    the n-element source, a -> (first label of a, second label of a)."""
+    s = len(second)
+    pair_labels = tuple((i, j) for i in range(len(first)) for j in range(s))
+    eta_image = tuple(first.label_of(a) * s + second.label_of(a) for a in range(n))
     eta = Mapping(n, product.order, eta_image)
     diagonal = SubsetMask.of(product.order, set(eta.image))
-    return ProductDigroup(product, pair_labels, eta, diagonal, group, semi)
+    return ProductDigroup(product, pair_labels, eta, diagonal, first, second)
 
 
 def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
@@ -341,31 +330,44 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
     route phi(f)∘g must agree and the result must pass the axiom checker;
     both are verified here.
     """
-    prod = _translation_product(table)
-    ensure_valid(prod.table)
-    return prod
+    e = table.identity
+    group, semi = pair = left_translations(table)
+    s = len(semi)
+    product = _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
+
+    # Cell [j][l] is the product of the pairs (0, j) and (0, l), so its index
+    # mod |semi| is the transform route's second component, which must be the
+    # label route's semi transform of b ↼ d with b = f(e) and d = h(e).
+    for j, f in enumerate(semi.transforms):
+        for l, h in enumerate(semi.transforms):
+            by_label = semi.label_of(table.right[f(e)][h(e)])
+            by_transform = product.right[j][l] % s
+            if by_transform != by_label:
+                raise ConstructionError(
+                    "right product second component is not well-defined: "
+                    f"label route gives {by_label}, transform route {by_transform}"
+                )
+
+    ensure_valid(product)
+    return _embedded(table.order, product, group, semi)
 
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
-    # An injective homomorphism onto a subdigroup, re-indexed as ``restrict``
-    # orders it, is an isomorphism exactly when it is a homomorphism there.
+    # An injective homomorphism whose image is a subdigroup is an isomorphism
+    # onto that subdigroup, so these three checks prove the embedding.
     if len(set(prod.eta.image)) != source.order:
         raise ConstructionError(f"{what}: embedding is not injective")
     if not is_homomorphism(source, prod.table, prod.eta):
         raise ConstructionError(f"{what}: embedding is not a homomorphism")
     if not is_subdigroup(prod.table, prod.diagonal):
         raise ConstructionError(f"{what}: diagonal is not a subdigroup")
-    position = {p: i for i, p in enumerate(sorted(prod.eta.image))}
-    onto = Mapping(source.order, source.order, [position[p] for p in prod.eta.image])
-    if not is_homomorphism(source, restrict(prod.table, prod.diagonal), onto):
-        raise ConstructionError(f"{what}: diagonal is not isomorphic to the source")
 
 
 def cayley_embedding(table: DigroupTable) -> ProductDigroup:
     """The translation product together with the diagonal embedding
     a -> (group transform of a, semi transform of a), verified: eta is an
-    injective homomorphism and the diagonal is a subdigroup isomorphic to the
-    source."""
+    injective homomorphism and the diagonal is a subdigroup, so eta is an
+    isomorphism of the source onto the diagonal."""
     prod = translation_product_digroup(table)
     _verify_embedding(table, prod, "left translation embedding")
     return prod
@@ -386,30 +388,27 @@ def right_translation_product(table: DigroupTable) -> ProductDigroup:
 
     The carrier pairs an x -> x ↼ a transform (first component, n distinct)
     with an x -> x ⇀ a transform (second component, the group part of the
-    right translations).  It is the left translation product of the opposite
-    digroup, taken opposite again with its pairs relabelled (i, j) -> (j, i).
-    The construction is self-verifying: the result must pass the axiom
-    checker and carry the diagonal embedding, otherwise it aborts loudly.
+    right translations), indexed (j, i) -> j * |group| + i.  It is the
+    opposite of the opposite digroup's left product with the components
+    swapped, filled directly from the right translation sets' index tables,
+    transposed: ⇀ takes phi(f)∘g and ↼ takes f∘g in the first component, both
+    take α∘β in the second.  The result must pass the axiom checker and carry
+    the diagonal embedding a -> (semi label of a, group label of a).
     """
-    n = table.order
     e = table.identity
-    left_prod = _translation_product(_opposite(table))
-    group, semi = left_prod.first_parts, left_prod.second_parts
-    if sorted(f(e) for f in semi.transforms) != list(range(n)):
+    group, semi = pair = right_translations(table)
+    ident, first, second, mixed = _index_tables(group, semi, _phi(pair, e).image)
+    if sorted(f(e) for f in semi.transforms) != list(range(table.order)):
         raise ConstructionError("right translations are not labeled injectively")
-    g, size = len(group), left_prod.table.order
-    swap = Mapping(size, size, tuple(j * g + i for i, j in left_prod.pair_labels))
-    product = relabel(_opposite(left_prod.table), swap)
+    mixed_t, second_t, first_t = (list(zip(*t)) for t in (mixed, second, first))
+    unit = (semi.label_of(e), ident)
+    product = _pair_table(mixed_t, second_t, first_t, first_t, unit)
     try:
         ensure_valid(product)
     except ConstructionError as exc:
-        raise ConstructionError(
-            f"right translation product is not a digroup: {exc}"
-        ) from exc
+        msg = f"right translation product is not a digroup: {exc}"
+        raise ConstructionError(msg) from exc
 
-    pair_labels = tuple((i, j) for i in range(n) for j in range(g))
-    eta = Mapping(n, size, tuple(swap(p) for p in left_prod.eta.image))
-    diagonal = SubsetMask.of(size, set(eta.image))
-    prod = ProductDigroup(product, pair_labels, eta, diagonal, semi, group)
+    prod = _embedded(table.order, product, semi, group)
     _verify_embedding(table, prod, "right translation embedding")
     return prod

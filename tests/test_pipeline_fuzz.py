@@ -1,13 +1,14 @@
 """Seeded relabeling fuzz: every construction must be labeling-independent.
 
 Random bijections (identity allowed to land anywhere) applied to every
-enumerated class of orders 2..4 are pushed through the whole pipeline.
+enumerated class of orders 2..7 are pushed through the whole pipeline.
 """
 
 import random
 
 from digroups import (
     Mapping,
+    SearchOptions,
     canonical_form,
     cayley_embedding,
     digroup_from_triple,
@@ -26,8 +27,9 @@ from digroups import (
 
 def test_relabeled_digroups_survive_every_construction(catalogs):
     rng = random.Random(20260808)
-    for n in range(2, 5):
-        for entry in catalogs[n]:
+    pools = {**catalogs, 7: enumerate_digroups(7, SearchOptions(allow_large=True))}
+    for n in range(2, 8):
+        for entry in pools[n]:
             for _ in range(3):
                 images = list(range(n))
                 rng.shuffle(images)

@@ -1,10 +1,14 @@
 """Translation sets, the identity suite, products, and the diagonal embedding."""
 
+import dataclasses
 import hashlib
+import random
+from pathlib import Path
 
 import pytest
 
 from digroups import (
+    ConstructionError,
     DigroupTable,
     MalformedTableError,
     Mapping,
@@ -32,8 +36,10 @@ from digroups import (
     validate_digroup,
     verify_translation_identities,
 )
+from digroups.fileio import parse_catalog_line
+from digroups.subdigroups import SubsetMask
 from digroups.tables import INVERSE_MISSING
-from digroups.translations import TRANSLATION_LAWS, _opposite
+from digroups.translations import TRANSLATION_LAWS, _opposite, _verify_embedding
 from digroups.triples import TRIPLE_LAWS
 
 
@@ -270,6 +276,76 @@ def test_right_translation_product_identity_pool(identity_suite):
     for name, table in identity_suite.items():
         prod = right_translation_product(table)
         assert validate_digroup(prod.table).ok, name
+
+
+def _reference_right_product(table):
+    """The right product built the long way: the opposite digroup's left
+    product, taken opposite again and relabelled (i, j) -> (j, i)."""
+    left = translation_product_digroup(_opposite(table))
+    g, size = len(left.first_parts), left.table.order
+    swap = Mapping(size, size, tuple(j * g + i for i, j in left.pair_labels))
+    return (
+        relabel(_opposite(left.table), swap),
+        tuple(swap(p) for p in left.eta.image),
+        tuple(sorted((j, i) for i, j in left.pair_labels)),
+        left.second_parts,
+        left.first_parts,
+    )
+
+
+def test_right_product_equals_the_opposite_route():
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_1_8.jsonl"
+    classes = [
+        parse_catalog_line(line).canonical
+        for line in reference.read_text(encoding="utf-8").splitlines()
+    ]
+    rng = random.Random(20261018)
+    tables = list(classes)
+    for table in classes[1:]:  # order 1 has nowhere to move its identity
+        n = table.order
+        images = list(range(n))
+        while images[0] == 0:
+            rng.shuffle(images)
+        tables.append(relabel(table, Mapping(n, n, tuple(images))))
+    tables += [
+        direct_product(builtin("N"), builtin("Z2")),
+        direct_product(builtin("M"), builtin("Z4")),
+    ]
+    assert len(tables) == 59
+    for table in tables:
+        prod = right_translation_product(table)
+        got = (
+            prod.table,
+            prod.eta.image,
+            prod.pair_labels,
+            prod.first_parts,
+            prod.second_parts,
+        )
+        assert got == _reference_right_product(table), serialize_digroup(table)
+
+
+def test_verify_embedding_rejects_a_broken_embedding(n_table):
+    prod = cayley_embedding(n_table)
+    n, size = n_table.order, prod.table.order
+    eta = prod.eta.image
+    what = "left translation embedding"
+
+    def rejects(broken, message):
+        with pytest.raises(ConstructionError, match=f"^{what}: {message}$"):
+            _verify_embedding(n_table, broken, what)
+
+    collapsed = Mapping(n, size, (eta[0],) * n)
+    rejects(dataclasses.replace(prod, eta=collapsed), "embedding is not injective")
+
+    # swapping the images of α and β keeps eta injective but not a homomorphism
+    swapped = Mapping(n, size, (eta[0], eta[2], eta[1]) + eta[3:])
+    assert not is_homomorphism(n_table, prod.table, swapped)
+    rejects(dataclasses.replace(prod, eta=swapped), "embedding is not a homomorphism")
+
+    outside = min(set(range(size)) - set(eta))
+    widened = SubsetMask.of(size, set(eta) | {outside})
+    assert not is_subdigroup(prod.table, widened)
+    rejects(dataclasses.replace(prod, diagonal=widened), "diagonal is not a subdigroup")
 
 
 def test_opposite_digroup(identity_suite):
