@@ -177,14 +177,11 @@ def _cmd_enumerate(args) -> int:
         entries = enumerate_digroups(args.order)
     if args.count_only:
         counts = count_by_class(entries)
-        print(
-            " ".join(
-                f"{key}={counts[key]}"
-                for key in ("total", "commutative", "groups", "non_group", "non_commutative")
-            )
-        )
-        return OK
-    _write_out("\n".join(fileio.catalog_lines(entries)) + "\n", args.out)
+        keys = ("total", "commutative", "groups", "non_group", "non_commutative")
+        lines = [" ".join(f"{key}={counts[key]}" for key in keys)]
+    else:
+        lines = fileio.catalog_lines(entries)
+    _write_out("\n".join(lines) + "\n", args.out)
     return OK
 
 

@@ -11,7 +11,7 @@ Each translation is a transform: a self-map of the carrier held as a
 composing.  Read as sets of transforms these collapse: translations by the
 right product form a group under composition, while the family x -> a ⇀ x
 is a semigroup with a right unit and left inverses, always of size n because
-it is labeled injectively by a = f(e).  The map phi sending the
+each member f recovers its element as a = f(e).  The map phi sending the
 semigroup-part transform of a to its group-part transform is a semigroup
 homomorphism.
 
@@ -26,9 +26,11 @@ read the digroup's products or Liu inverses before running the triple laws
 on the extracted triple, and both record violations through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
-translations, and the pair-table builder fills the mirrored product from
-their index tables, transposed, with the components swapped.  Both products
-are verified at construction time.
+translations, read off the columns, and the pair-table builder fills the
+mirrored product from their index tables, transposed, with the components
+swapped.  Both products are verified alike: the product passes the axiom
+check and eta is an injective homomorphism onto a subdigroup, which also
+proves the source a digroup.
 """
 
 from __future__ import annotations
@@ -162,14 +164,9 @@ def right_translations(table: DigroupTable) -> TranslationPair:
     the left table), the semi part x -> x ↼ a (columns of the right table;
     always n distinct since they send e to a).  These are the left
     translation sets of the opposite digroup."""
-    return left_translations(_opposite(table))
-
-
-def _opposite(table: DigroupTable) -> DigroupTable:
-    """The opposite digroup: x ⇀' y = y ↼ x and x ↼' y = y ⇀ x, same
-    identity and labels.  It is a digroup exactly when the table is."""
-    left, right = zip(*table.right), zip(*table.left)  # transposes
-    return DigroupTable(table.order, table.identity, left, right, table.labels)
+    group = TransformSet.from_rows(zip(*table.left))
+    semi = TransformSet.from_rows(zip(*table.right))
+    return TranslationPair(group, semi)
 
 
 def phi(table: DigroupTable) -> Mapping:
@@ -308,53 +305,49 @@ def _triple_table(
 
 
 def _embedded(
-    n: int, product: DigroupTable, first: TransformSet, second: TransformSet
+    source: DigroupTable,
+    product: DigroupTable,
+    first: TransformSet,
+    second: TransformSet,
+    what: str,
 ) -> ProductDigroup:
-    """The pair table on (first) x (second) with the diagonal embedding of
-    the n-element source, a -> (first label of a, second label of a)."""
-    s = len(second)
+    """The validated pair table on (first) x (second) with the verified
+    diagonal embedding a -> (first label of a, second label of a)."""
+    try:
+        ensure_valid(product)
+    except ConstructionError as exc:
+        raise ConstructionError(f"{what} product is not a digroup: {exc}") from exc
+    n, s = source.order, len(second)
     pair_labels = tuple((i, j) for i in range(len(first)) for j in range(s))
     eta_image = tuple(first.label_of(a) * s + second.label_of(a) for a in range(n))
     eta = Mapping(n, product.order, eta_image)
     diagonal = SubsetMask.of(product.order, set(eta.image))
-    return ProductDigroup(product, pair_labels, eta, diagonal, first, second)
+    prod = ProductDigroup(product, pair_labels, eta, diagonal, first, second)
+    _verify_embedding(source, prod, f"{what} embedding")
+    return prod
 
 
 def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
-    """The digroup on (group part) x (semi part) of the left translations.
+    """The digroup on (group part) x (semi part) of the left translations,
+    with the diagonal embedding a -> (group transform of a, semi transform
+    of a).
 
     Pairs are indexed (i, j) -> i * |semi| + j.  The left product composes
     both components; the right product composes first components and sets the
-    second to the semi transform of b ↼ d, where b and d are the second
-    components' labels recovered as f(e).  The label route and the transform
-    route phi(f)∘g must agree and the result must pass the axiom checker;
-    both are verified here.
+    second to phi(f)∘g.  The product must pass the axiom checker, and eta must
+    be an injective homomorphism whose image is a subdigroup, hence an
+    isomorphism of the source onto the diagonal; both are verified here.
     """
     e = table.identity
     group, semi = pair = left_translations(table)
-    s = len(semi)
     product = _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
-
-    # Cell [j][l] is the product of the pairs (0, j) and (0, l), so its index
-    # mod |semi| is the transform route's second component, which must be the
-    # label route's semi transform of b ↼ d with b = f(e) and d = h(e).
-    for j, f in enumerate(semi.transforms):
-        for l, h in enumerate(semi.transforms):
-            by_label = semi.label_of(table.right[f(e)][h(e)])
-            by_transform = product.right[j][l] % s
-            if by_transform != by_label:
-                raise ConstructionError(
-                    "right product second component is not well-defined: "
-                    f"label route gives {by_label}, transform route {by_transform}"
-                )
-
-    ensure_valid(product)
-    return _embedded(table.order, product, group, semi)
+    return _embedded(table, product, group, semi, "left translation")
 
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
     # An injective homomorphism whose image is a subdigroup is an isomorphism
-    # onto that subdigroup, so these three checks prove the embedding.
+    # onto that subdigroup, so these three checks prove the embedding (and,
+    # into a validated product, that the source is a digroup).
     if len(set(prod.eta.image)) != source.order:
         raise ConstructionError(f"{what}: embedding is not injective")
     if not is_homomorphism(source, prod.table, prod.eta):
@@ -364,13 +357,9 @@ def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> 
 
 
 def cayley_embedding(table: DigroupTable) -> ProductDigroup:
-    """The translation product together with the diagonal embedding
-    a -> (group transform of a, semi transform of a), verified: eta is an
-    injective homomorphism and the diagonal is a subdigroup, so eta is an
-    isomorphism of the source onto the diagonal."""
-    prod = translation_product_digroup(table)
-    _verify_embedding(table, prod, "left translation embedding")
-    return prod
+    """The translation product with its diagonal embedding, verified when
+    built: the digroup counterpart of Cayley's theorem."""
+    return translation_product_digroup(table)
 
 
 def pair_action(
@@ -398,17 +387,7 @@ def right_translation_product(table: DigroupTable) -> ProductDigroup:
     e = table.identity
     group, semi = pair = right_translations(table)
     ident, first, second, mixed = _index_tables(group, semi, _phi(pair, e).image)
-    if sorted(f(e) for f in semi.transforms) != list(range(table.order)):
-        raise ConstructionError("right translations are not labeled injectively")
     mixed_t, second_t, first_t = (list(zip(*t)) for t in (mixed, second, first))
     unit = (semi.label_of(e), ident)
     product = _pair_table(mixed_t, second_t, first_t, first_t, unit)
-    try:
-        ensure_valid(product)
-    except ConstructionError as exc:
-        msg = f"right translation product is not a digroup: {exc}"
-        raise ConstructionError(msg) from exc
-
-    prod = _embedded(table.order, product, semi, group)
-    _verify_embedding(table, prod, "right translation embedding")
-    return prod
+    return _embedded(table, product, semi, group, "right translation")

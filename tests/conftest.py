@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from digroups import SearchOptions, builtin, direct_product, enumerate_digroups
+from digroups.fileio import parse_catalog_line
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +34,12 @@ def identity_suite():
 def catalogs():
     """Enumerations for orders 1..6, shared across the suite."""
     return {n: enumerate_digroups(n, SearchOptions()) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="session")
+def reference_classes():
+    """Every class of orders 1..8 as catalog entries, read from the checked-in
+    reference catalog so that no search runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_1_8.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [parse_catalog_line(line) for line in lines]

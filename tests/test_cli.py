@@ -337,6 +337,15 @@ def test_enumerate_count_only(capsys):
     assert "total=2" in out and "non_group=1" in out
 
 
+def test_enumerate_count_only_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "counts.txt"
+    assert run_cli(["enumerate", "2", "--count-only", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == (
+        "total=2 commutative=2 groups=1 non_group=1 non_commutative=0\n"
+    )
+
+
 def test_enumerate_naive_matches(capsys):
     assert run_cli(["enumerate", "2"]) == 0
     prop = capsys.readouterr().out

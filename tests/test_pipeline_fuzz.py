@@ -1,18 +1,18 @@
 """Seeded relabeling fuzz: every construction must be labeling-independent.
 
 Random bijections (identity allowed to land anywhere) applied to every
-enumerated class of orders 2..7 are pushed through the whole pipeline.
+class of orders 2..8 in the reference catalog are pushed through the whole
+pipeline.  The canonical-form round trip stops at order 7: at order 8 it
+would cost about 5 s.
 """
 
 import random
 
 from digroups import (
     Mapping,
-    SearchOptions,
     canonical_form,
     cayley_embedding,
     digroup_from_triple,
-    enumerate_digroups,
     find_isomorphism,
     relabel,
     restrict,
@@ -25,29 +25,29 @@ from digroups import (
 )
 
 
-def test_relabeled_digroups_survive_every_construction(catalogs):
+def test_relabeled_digroups_survive_every_construction(reference_classes):
     rng = random.Random(20260808)
-    pools = {**catalogs, 7: enumerate_digroups(7, SearchOptions(allow_large=True))}
-    for n in range(2, 8):
-        for entry in pools[n]:
-            for _ in range(3):
-                images = list(range(n))
-                rng.shuffle(images)
-                table = relabel(entry.canonical, Mapping(n, n, tuple(images)))
+    for entry in reference_classes[1:]:  # order 1 has nothing to relabel
+        n = entry.order
+        for _ in range(3):
+            images = list(range(n))
+            rng.shuffle(images)
+            table = relabel(entry.canonical, Mapping(n, n, tuple(images)))
 
-                assert validate_digroup(table).ok
-                assert verify_translation_identities(table).ok
+            assert validate_digroup(table).ok
+            assert verify_translation_identities(table).ok
 
-                triple = triple_from_digroup(table)
-                assert validate_triple(triple).ok
-                built = digroup_from_triple(triple)
-                flat = translation_product_digroup(table).table
-                assert built.left == flat.left and built.right == flat.right
-                assert built.identity == flat.identity
+            triple = triple_from_digroup(table)
+            assert validate_triple(triple).ok
+            built = digroup_from_triple(triple)
+            flat = translation_product_digroup(table).table
+            assert built.left == flat.left and built.right == flat.right
+            assert built.identity == flat.identity
 
-                emb = cayley_embedding(table)
-                diag = restrict(emb.table, emb.diagonal)
-                assert find_isomorphism(table, diag) is not None
+            emb = cayley_embedding(table)
+            diag = restrict(emb.table, emb.diagonal)
+            assert find_isomorphism(table, diag) is not None
 
-                assert validate_digroup(right_translation_product(table).table).ok
+            assert validate_digroup(right_translation_product(table).table).ok
+            if n <= 7:
                 assert canonical_form(table).table == entry.canonical

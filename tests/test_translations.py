@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
@@ -36,11 +35,17 @@ from digroups import (
     validate_digroup,
     verify_translation_identities,
 )
-from digroups.fileio import parse_catalog_line
 from digroups.subdigroups import SubsetMask
 from digroups.tables import INVERSE_MISSING
-from digroups.translations import TRANSLATION_LAWS, _opposite, _verify_embedding
+from digroups.translations import TRANSLATION_LAWS, _verify_embedding
 from digroups.triples import TRIPLE_LAWS
+
+
+def _opposite(table: DigroupTable) -> DigroupTable:
+    """The opposite digroup: x ⇀' y = y ↼ x and x ↼' y = y ⇀ x, same
+    identity and labels.  It is a digroup exactly when the table is."""
+    left, right = zip(*table.right), zip(*table.left)  # transposes
+    return DigroupTable(table.order, table.identity, left, right, table.labels)
 
 
 def test_left_translation_sizes(m_table, n_table):
@@ -196,8 +201,9 @@ def test_cayley_embedding_properties(identity_suite):
 
 
 def test_embeddings_run_no_isomorphism_search(monkeypatch, catalogs):
-    # eta is checked as an isomorphism onto the restricted diagonal directly,
-    # so neither construction may fall back on the backtracking search
+    # eta is checked as an injective homomorphism whose image is a
+    # subdigroup, so neither construction may fall back on the backtracking
+    # search
     def refuse(*args):
         raise AssertionError("construction ran find_isomorphism")
 
@@ -293,12 +299,8 @@ def _reference_right_product(table):
     )
 
 
-def test_right_product_equals_the_opposite_route():
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "catalog_1_8.jsonl"
-    classes = [
-        parse_catalog_line(line).canonical
-        for line in reference.read_text(encoding="utf-8").splitlines()
-    ]
+def test_right_product_equals_the_opposite_route(reference_classes):
+    classes = [entry.canonical for entry in reference_classes]
     rng = random.Random(20261018)
     tables = list(classes)
     for table in classes[1:]:  # order 1 has nowhere to move its identity
@@ -322,6 +324,43 @@ def test_right_product_equals_the_opposite_route():
             prod.second_parts,
         )
         assert got == _reference_right_product(table), serialize_digroup(table)
+
+
+# Corrupted order-2 sources whose flaw shows in the translation sets
+# themselves.  trivial(2) and Z2 with left[1][0] = 0: in the left product the
+# second component of f ↼ h, phi(f)∘h, is no longer the semi transform of
+# f(e) ↼ h(e).  With right[0][1] = 0: the columns x -> x ↼ a no longer send e
+# to a, so the right semi part collapses.
+BROKEN_ORDER_2 = (
+    ([[0, 0], [0, 1]], [[0, 1], [0, 1]]),
+    ([[0, 1], [0, 0]], [[0, 1], [1, 0]]),
+    ([[0, 0], [1, 1]], [[0, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[0, 0], [1, 0]]),
+)
+
+
+def test_no_invalid_source_yields_a_product(reference_classes):
+    # Every product is validated and its eta proved an embedding, which
+    # together prove the source a digroup: each one-cell corruption the axiom
+    # check rejects must be refused by every construction.
+    rng = random.Random(11)
+    tables = [DigroupTable(2, 0, left, right) for left, right in BROKEN_ORDER_2]
+    for entry in reference_classes[1:]:  # order 1 has no other value to write
+        table, n = entry.canonical, entry.order
+        for _ in range(20):
+            products = [[list(row) for row in table.left], [list(row) for row in table.right]]
+            side, a, b = rng.randrange(2), rng.randrange(n), rng.randrange(n)
+            old = products[side][a][b]
+            products[side][a][b] = rng.choice([x for x in range(n) if x != old])
+            broken = DigroupTable(n, table.identity, *products)
+            if not validate_digroup(broken).ok:
+                tables.append(broken)
+    assert len(tables) == 564
+    for table in tables:
+        assert not validate_digroup(table).ok
+        for build in (translation_product_digroup, cayley_embedding, right_translation_product):
+            with pytest.raises(ConstructionError):
+                build(table)
 
 
 def test_verify_embedding_rejects_a_broken_embedding(n_table):
