@@ -15,6 +15,7 @@ from . import fileio
 from .tables import (
     DigroupError,
     DigroupTable,
+    UnsupportedOrderError,
     ValidationReport,
     builtin,
     is_commutative,
@@ -24,6 +25,7 @@ from .tables import (
 )
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 1, 2
+_ISO_CAP = 16  # trivial(18) vs Z2 x trivial(9): 10 s of find_isomorphism on 2 vCPUs
 
 
 def _read(path: str) -> str:
@@ -118,6 +120,8 @@ def _cmd_iso(args) -> int:
     t2, code = _load_valid_digroup(args.file2)
     if t2 is None:
         return code
+    if t1.order == t2.order > _ISO_CAP:
+        raise UnsupportedOrderError(f"iso supports order <= {_ISO_CAP}, got {t1.order}")
     mapping = find_isomorphism(t1, t2)
     if mapping is None:
         print("not isomorphic")

@@ -7,22 +7,30 @@ of a table pair is the lexicographically least relabeling (flatten the left
 table then the right table row-major) over all bijections sending the
 identity to index 0; it is exact, not hash-based, so equal canonical tables
 characterize isomorphism.
+
+One engine enumerates the relabelings for canonical_form, automorphisms and
+the search's lex cut, never listing all (n-1)! of them.  A partial relabeling
+holds the elements labelled 0, 1, ... as bytes, the identity first, and
+labels go out in the order the key reads its cells: cell (0, y) of row e of
+⇀ branches over the unlabelled elements while label y is free, and a value
+with no label takes the next free one, since no completion labels it lower
+and any that labels it higher reads higher there.  The search drives the
+partials against its own table (_lex_filter); canonical_form runs them in
+lockstep, and they are whole relabelings once row e of ⇀ is read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .tables import (
-    DigroupTable,
-    Mapping,
-    MalformedTableError,
-    UnsupportedOrderError,
-)
+from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError
 
-_CANONICAL_CAP = 8  # (n-1)! relabelings; 7! = 5040 is still fine
+# trivial(n) keeps all (n-1)! relabelings tied to the end: 5040 at order 8.
+_CANONICAL_CAP = 8
+
+_FREE = 255
+_BYTE = tuple(bytes((v,)) for v in range(256))
 
 
 def relabel(table: DigroupTable, perm: Mapping) -> DigroupTable:
@@ -61,86 +69,161 @@ def is_homomorphism(d1: DigroupTable, d2: DigroupTable, m: Mapping) -> bool:
     return True
 
 
-def _iso_search(d1: DigroupTable, d2: DigroupTable, find_all: bool) -> list[Mapping]:
-    """Backtracking over images in ascending order with forced-product
-    propagation: once m[x] and m[y] are set, m[x*y] is forced for both
-    products.  The first solution found is lexicographically least."""
-    if d1.order != d2.order:
-        return []
-    n = d1.order
-    image = [-1] * n
-    used = [False] * n
-    results: list[Mapping] = []
+def _first_partial(n: int):
+    """The partial relabeling _lex_filter starts from: e = 0 labelled 0."""
+    return (0, _BYTE[0], _BYTE[0] + bytes([_FREE]) * (n - 1), 0)
 
-    def place(x: int, v: int, trail: list[int]) -> bool:
-        # Assign image[x] = v and propagate forced products; trail records
-        # assigned sources for undo.
-        queue = [(x, v)]
-        while queue:
-            a, b = queue.pop()
-            if image[a] != -1:
-                if image[a] != b:
-                    return False
+
+def _lex_filter(active, val, cells, keys, n):
+    """Advance partial relabelings (wait, inv, fwd, pos) against a partly
+    known table and return those still tied with it, or None if an image
+    reads below it: then no completion of the table is lex-least.
+
+    val is the table flattened ⇀ then ↼ (-1 for unknown); key position pos
+    reads cell cells[pos] = base + x*n + y for keys[pos] = (base, x, y).  fwd
+    holds each element's label or _FREE.  A partial ties val before pos, and
+    is skipped while wait, the unknown cell that stopped it (0 if none), is."""
+    m = len(cells)
+    out = []
+    keep = out.append
+    while active:
+        branched = []
+        for item in active:
+            if val[item[0]] < 0:
+                keep(item)
                 continue
-            if used[b]:
-                return False
-            image[a] = b
-            used[b] = True
-            trail.append(a)
-            for c in range(n):
-                if image[c] == -1:
-                    continue
-                for t1, t2 in ((d1.left, d2.left), (d1.right, d2.right)):
-                    queue.append((t1[a][c], t2[b][image[c]]))
-                    queue.append((t1[c][a], t2[image[c]][b]))
-        return True
+            _, inv, fwd, pos = item
+            while pos < m:
+                wait = cells[pos]
+                cur = val[wait]
+                if cur < 0:
+                    break
+                base, x, y = keys[pos]
+                try:
+                    wait = base + inv[x] * n + inv[y]
+                except IndexError:  # label y is free
+                    for u in range(n):
+                        if fwd[u] == _FREE:
+                            child = fwd[:u] + _BYTE[y] + fwd[u + 1 :]
+                            branched.append((0, inv + _BYTE[u], child, pos))
+                    break
+                raw = val[wait]
+                if raw < 0:
+                    break
+                img = fwd[raw]
+                if img != cur:
+                    if img == _FREE:
+                        img = len(inv)
+                        if img == cur:
+                            inv += _BYTE[raw]
+                            fwd = fwd[:raw] + _BYTE[img] + fwd[raw + 1 :]
+                            pos += 1
+                            continue
+                    if img < cur:
+                        return None
+                    break
+                pos += 1
+            else:
+                keep((0, inv, fwd, pos))
+                continue
+            if val[wait] < 0:
+                keep((wait, inv, fwd, pos))
+        active = branched
+    return out
 
-    def undo(trail: list[int]) -> None:
-        for a in trail:
-            used[image[a]] = False
-            image[a] = -1
 
-    def extend(pos: int) -> bool:
-        while pos < n and image[pos] != -1:
-            pos += 1
-        if pos == n:
-            m = Mapping(n, n, tuple(image))
-            results.append(m)
-            return not find_all
-        candidates = (
-            [d2.identity] if pos == d1.identity else [v for v in range(n) if not used[v]]
+def _least_relabelings(table: DigroupTable) -> tuple[list[bytes], list[bytes]]:
+    """The rows of the least image, ⇀ then ↼, and the image vectors of the
+    relabelings that give it.  The partials run in lockstep and keep the
+    least image: a cell at a time along row e of ⇀, then a row at a time."""
+    n = table.order
+    if n > _CANONICAL_CAP:
+        raise UnsupportedOrderError(
+            f"canonical form and automorphisms support order <= {_CANONICAL_CAP}, got {n}"
         )
-        for v in candidates:
-            trail: list[int] = []
-            if place(pos, v, trail) and extend(pos + 1):
-                return True
-            undo(trail)
-        return False
+    # rows as translate tables: inv.translate(row) lists row[inv[0]], ...
+    left = [bytes(row).ljust(256, b"\0") for row in table.left]
+    right = [bytes(row).ljust(256, b"\0") for row in table.right]
+    row_e = left[table.identity]
+    partials = [_BYTE[table.identity]]
+    first = bytearray()
+    for y in range(n):
+        images = []
+        for part in partials:
+            free = range(n) if y == len(part) else ()
+            for inv in [part + _BYTE[u] for u in free if u not in part] or [part]:
+                raw = row_e[inv[y]]
+                lab = inv.find(raw)
+                if lab < 0:
+                    lab = len(inv)
+                    inv += _BYTE[raw]
+                images.append((lab, inv))
+        first.append(min(images)[0])
+        partials = [inv for lab, inv in images if lab == first[-1]]
 
-    trail: list[int] = []
-    if place(d1.identity, d2.identity, trail):
-        extend(0)
-    else:
-        undo(trail)
-    return results
+    # fwd translates each element to its label
+    ties = [(inv, bytes.maketrans(inv, bytes(range(n)))) for inv in partials]
+    rows = [bytes(first)]
+    for rows_of, x in [(left, x) for x in range(1, n)] + [(right, x) for x in range(n)]:
+        images = [(inv.translate(rows_of[inv[x]]).translate(fwd), inv, fwd) for inv, fwd in ties]
+        rows.append(min(images)[0])
+        ties = [(inv, fwd) for image, inv, fwd in images if image == rows[-1]]
+    return rows, [fwd[:n] for _, fwd in ties]
 
 
 def find_isomorphism(d1: DigroupTable, d2: DigroupTable) -> Optional[Mapping]:
     """A bijective homomorphism d1 -> d2 if one exists, else None.
 
-    The returned mapping is the first in lexicographic backtracking order.
+    Backtracking over images in ascending order with forced-product
+    propagation: once m[x] and m[y] are set, m[x*y] is forced for both
+    products.  The mapping returned is the lexicographically least.
     """
-    found = _iso_search(d1, d2, find_all=False)
-    return found[0] if found else None
+    if d1.order != d2.order:
+        return None
+    n = d1.order
+    image = [-1] * n
+    products = ((d1.left, d2.left), (d1.right, d2.right))
+
+    def extend(queue: list[tuple[int, int]]) -> Optional[Mapping]:
+        # Assign each queued (source, image) pair and the products it forces,
+        # then branch on the least unassigned source; undo on failure.
+        trail = []
+        while queue:
+            a, b = queue.pop()
+            if image[a] != -1:
+                if image[a] == b:
+                    continue
+                break
+            if b in image:
+                break
+            image[a] = b
+            trail.append(a)
+            for c in range(n):
+                if image[c] != -1:
+                    for t1, t2 in products:
+                        queue.append((t1[a][c], t2[b][image[c]]))
+                        queue.append((t1[c][a], t2[image[c]][b]))
+        else:
+            if -1 not in image:
+                return Mapping(n, n, tuple(image))
+            pos = image.index(-1)
+            for v in range(n):
+                if v not in image and (found := extend([(pos, v)])) is not None:
+                    return found
+        for a in trail:
+            image[a] = -1
+        return None
+
+    return extend([(d1.identity, d2.identity)])
 
 
 def automorphisms(table: DigroupTable) -> list[Mapping]:
-    """All bijective self-homomorphisms, in lexicographic order."""
-    if table.order > _CANONICAL_CAP:
-        raise UnsupportedOrderError(
-            f"automorphism scan supports order <= {_CANONICAL_CAP}"
-        )
-    return _iso_search(table, table, find_all=True)
+    """All bijective self-homomorphisms, in lexicographic order: c⁻¹∘p for
+    one relabeling c and each relabeling p that gives the canonical table."""
+    _, ties = _least_relabelings(table)
+    n = table.order
+    back = bytes.maketrans(ties[0], bytes(range(n)))
+    return [Mapping(n, n, tuple(image)) for image in sorted(p.translate(back) for p in ties)]
 
 
 @dataclass(frozen=True)
@@ -152,46 +235,14 @@ class CanonicalTable:
     certificate: Mapping
 
 
-def _flatten(left, right) -> tuple[int, ...]:
-    return tuple(v for row in left for v in row) + tuple(
-        v for row in right for v in row
-    )
-
-
 def canonical_form(table: DigroupTable) -> CanonicalTable:
     """Exact lex-min canonical form over all identity-fixing relabelings.
 
     Two validated digroups are isomorphic iff their canonical tables are
-    equal.  Labels are dropped; the certificate recovers the relabeling.
+    equal.  Labels are dropped; the certificate recovers the relabeling, and
+    among the relabelings that tie it is the least image vector.
     """
+    rows, ties = _least_relabelings(table)
     n = table.order
-    if n > _CANONICAL_CAP:
-        raise UnsupportedOrderError(
-            f"canonical form supports order <= {_CANONICAL_CAP}, got {n}"
-        )
-    e = table.identity
-    others = [x for x in range(n) if x != e]
-    best_key = None
-    best_perm = None
-    for images in itertools.permutations(range(1, n)):
-        p = [0] * n
-        p[e] = 0
-        for src, dst in zip(others, images):
-            p[src] = dst
-        inv = [0] * n
-        for x, v in enumerate(p):
-            inv[v] = x
-        left = tuple(
-            tuple(p[table.left[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-        )
-        right = tuple(
-            tuple(p[table.right[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-        )
-        key = _flatten(left, right)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = tuple(p)
-            best_tables = (left, right)
-    perm = Mapping(n, n, best_perm)
-    canon = DigroupTable(n, 0, best_tables[0], best_tables[1])
-    return CanonicalTable(canon, perm)
+    canon = DigroupTable(n, 0, rows[:n], rows[n:])
+    return CanonicalTable(canon, Mapping(n, n, tuple(min(ties))))

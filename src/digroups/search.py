@@ -31,9 +31,10 @@ x.  _entries_from_solutions still re-validates every emitted table.
 
 The seeded cells agree with their image under every identity-fixing
 relabeling, so comparing the open cells in canonical-key order is comparing
-whole flattened tables.  At a leaf every cell is known and every relabeling
-has been compared in full, so a table is emitted exactly when it is the
-lex-least member of its class, i.e. its own canonical form: one table per
+whole flattened tables.  The relabelings are morphisms' partial ones, each
+standing for all its completions.  At a leaf every cell is known and every
+relabeling has been compared in full, so a table is emitted exactly when it
+is the lex-least member of its class, its own canonical form: one table per
 class and no dedup pass (orderly generation, McKay 1998).  Since the search
 branches on the first open cell in key order and tries values in ascending
 order, the tables come out strictly increasing.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .morphisms import canonical_form, find_isomorphism
+from .morphisms import _first_partial, _lex_filter, canonical_form, find_isomorphism
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
@@ -154,7 +155,7 @@ def _search_tables(n: int):
         if in2 != in1:
             watch[in2].append(idx)
 
-    # (table base, x, y) of each canonical-key position; _lex_filter reads
+    # (table base, x, y) of each canonical-key position; the lex filter reads
     # these instead of decoding the cell ids
     bkeys = [(0, 0, y) for y in range(1, n)]
     bkeys += [(0, x, y) for x in range(1, n) for y in range(1, n)]
@@ -164,24 +165,7 @@ def _search_tables(n: int):
     line = tuple(y for x in range(n) for y in range(n))
     line += tuple(n + x for x in range(n) for y in range(n))
 
-    perms = []
-    for images in itertools.permutations(range(1, n)):
-        p = (0,) + images
-        if all(v == i for i, v in enumerate(p)):
-            continue
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        perms.append((p, tuple(inv)))
-
-    return (
-        tuple(insts),
-        tuple(tuple(w) for w in watch),
-        tuple(bcells),
-        tuple(perms),
-        tuple(bkeys),
-        line,
-    )
+    return tuple(insts), tuple(map(tuple, watch)), tuple(bcells), tuple(bkeys), line
 
 
 class _Search:
@@ -193,14 +177,7 @@ class _Search:
 
     def __init__(self, n: int):
         self.n = n
-        (
-            self.insts,
-            self.watch,
-            self.bcells,
-            self.perms,
-            self.bkeys,
-            self.line,
-        ) = _search_tables(n)
+        self.insts, self.watch, self.bcells, self.bkeys, self.line = _search_tables(n)
         self.val = [-1] * (2 * n * n)
         self.used = [0] * (2 * n)  # bitmask of the values in each line
         self.eq: list[list[int]] = [[] for _ in range(2 * n * n)]
@@ -291,38 +268,6 @@ class _Search:
             else:
                 self.eq[~c].pop()
 
-    def _lex_filter(self, active):
-        """Advance every still-active relabeling; None means the current
-        assignment is lexicographically above one of its images and the node
-        must be cut."""
-        n = self.n
-        val = self.val
-        bcells = self.bcells
-        bkeys = self.bkeys
-        m = len(bcells)
-        out = []
-        for pid, pos in active:
-            p, pinv = self.perms[pid]
-            keep = True
-            while pos < m:
-                cur = val[bcells[pos]]
-                if cur < 0:
-                    break
-                base, x, y = bkeys[pos]
-                raw = val[base + pinv[x] * n + pinv[y]]
-                if raw < 0:
-                    break
-                img = p[raw]
-                if img < cur:
-                    return None
-                if img > cur:
-                    keep = False
-                    break
-                pos += 1
-            if keep:
-                out.append((pid, pos))
-        return out
-
     def _emit(self) -> None:
         n = self.n
         nn = n * n
@@ -336,7 +281,7 @@ class _Search:
         # No root check: the first branching cell e⇀1 is still open after
         # seeding (it is 1 in Z_n and e in the trivial digroup), so no
         # relabeling can compare yet.
-        self._dfs(0, [(pid, 0) for pid in range(len(self.perms))])
+        self._dfs(0, [_first_partial(self.n)])
         return self.solutions
 
     def _dfs(self, bpos: int, active) -> None:
@@ -351,7 +296,7 @@ class _Search:
         for v in range(self.n):
             mark = len(self.trail)
             if self._try(cell, v):
-                new_active = self._lex_filter(active)
+                new_active = _lex_filter(active, self.val, bcells, self.bkeys, self.n)
                 if new_active is not None:
                     self._dfs(bpos + 1, new_active)
             self._undo(mark)

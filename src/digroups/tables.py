@@ -21,7 +21,6 @@ Tables are stored row-major with the row index as the left operand:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -417,7 +416,7 @@ def cyclic_group(n: int) -> DigroupTable:
 def symmetric_group_3() -> DigroupTable:
     """S3 as a digroup; elements are the permutations of three points in
     lexicographic order, composed left-to-right as functions."""
-    perms = list(itertools.permutations(range(3)))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     index = {p: i for i, p in enumerate(perms)}
     compose = lambda p, q: tuple(p[q[k]] for k in range(3))
     rows = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)

@@ -331,6 +331,45 @@ def test_iso_found(tmp_path, n_file, capsys):
     assert "->" in capsys.readouterr().out
 
 
+def _family_files(tmp_path, k):
+    # trivial(2k) against Z2 x trivial(k): not isomorphic, and the slowest
+    # known family for find_isomorphism
+    from digroups import direct_product
+
+    paths = []
+    for name, table in (
+        ("trivial.json", trivial_digroup(2 * k)),
+        ("product.json", direct_product(builtin("Z2"), trivial_digroup(k))),
+    ):
+        (tmp_path / name).write_text(serialize_digroup(table), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def test_iso_refuses_equal_orders_above_its_cap_before_searching(tmp_path, capsys):
+    import time
+
+    files = _family_files(tmp_path, 9)
+    start = time.perf_counter()
+    assert run_cli(["iso", *files]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_iso_decides_the_family_at_its_cap(tmp_path, capsys):
+    assert run_cli(["iso", *_family_files(tmp_path, 8)]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
+def test_iso_on_different_orders_above_the_cap_is_not_isomorphic(tmp_path, capsys):
+    files = _family_files(tmp_path, 9)
+    (tmp_path / "t17.json").write_text(serialize_digroup(trivial_digroup(17)), encoding="utf-8")
+    assert run_cli(["iso", files[0], str(tmp_path / "t17.json")]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
 def test_enumerate_count_only(capsys):
     assert run_cli(["enumerate", "2", "--count-only"]) == 0
     out = capsys.readouterr().out

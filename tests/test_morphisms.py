@@ -1,11 +1,15 @@
 """Homomorphism checks, isomorphism search, canonical forms, automorphisms."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from digroups import (
+    CanonicalTable,
+    DigroupTable,
     Mapping,
     all_subdigroups,
     automorphisms,
@@ -179,3 +183,74 @@ def test_canonical_cap():
         canonical_form(trivial_digroup(9))
     with pytest.raises(UnsupportedOrderError):
         automorphisms(trivial_digroup(9))
+
+
+def brute_force_canonical_form(table):
+    """Oracle: the least flattened left-then-right image over every
+    identity-fixing relabeling, taken in permutation order, with the first
+    relabeling that reaches it as the certificate."""
+    n = table.order
+    e = table.identity
+    others = [x for x in range(n) if x != e]
+    best_key = best_perm = best_tables = None
+    for images in itertools.permutations(range(1, n)):
+        p = [0] * n
+        for src, dst in zip(others, images):
+            p[src] = dst
+        inv = [0] * n
+        for x, v in enumerate(p):
+            inv[v] = x
+        left = tuple(
+            tuple(p[table.left[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
+        )
+        right = tuple(
+            tuple(p[table.right[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
+        )
+        key = left + right
+        if best_key is None or key < best_key:
+            best_key, best_perm, best_tables = key, tuple(p), (left, right)
+    return CanonicalTable(
+        DigroupTable(n, 0, *best_tables), Mapping(n, n, best_perm)
+    )
+
+
+def assert_engine_matches_oracles(table):
+    assert canonical_form(table) == brute_force_canonical_form(table)
+    assert automorphisms(table) == brute_force_automorphisms(table)
+
+
+def test_engine_matches_oracles_on_catalog_classes(reference_classes):
+    # every class of orders 1-7, and three seeded relabelings of each that
+    # move the identity off index 0
+    rng = random.Random(20261018)
+    for entry in reference_classes:
+        n = entry.order
+        if n > 7:
+            continue
+        assert_engine_matches_oracles(entry.canonical)
+        for _ in range(3 if n > 1 else 0):
+            images = list(range(n))
+            while images[0] == 0:
+                rng.shuffle(images)
+            assert_engine_matches_oracles(
+                relabel(entry.canonical, Mapping(n, n, tuple(images)))
+            )
+
+
+def test_engine_matches_oracles_on_random_tables():
+    # canonical_form and automorphisms accept any table, digroup or not
+    rng = random.Random(1998)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        left = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        right = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        assert_engine_matches_oracles(DigroupTable(n, rng.randrange(n), left, right))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_engine_matches_oracles_when_every_relabeling_ties(n):
+    e = n // 2
+    rows = [[e] * n for _ in range(n)]
+    table = DigroupTable(n, e, rows, rows)
+    assert_engine_matches_oracles(table)
+    assert len(automorphisms(table)) == math.factorial(n - 1)

@@ -151,7 +151,9 @@ def test_group_counts_match_known_values(catalogs):
 
 
 @pytest.mark.parametrize("n,labeled", [(2, 2), (3, 2), (4, 11), (5, 7)])
-def test_unpruned_search_matches_orbit_stabilizer_counts(n, labeled, catalogs):
+def test_unpruned_search_matches_orbit_stabilizer_counts(
+    n, labeled, catalogs, monkeypatch
+):
     # Disable the symmetry pruning: the search must then emit every labeled
     # digroup with identity at 0, whose number is the orbit-stabilizer sum
     # (n-1)!/|Aut(D)| over the classes.  (The same check passes at n=6 with
@@ -161,9 +163,8 @@ def test_unpruned_search_matches_orbit_stabilizer_counts(n, labeled, catalogs):
     from digroups import DigroupTable, automorphisms
     from digroups.search import _Search
 
-    s = _Search(n)
-    s.perms = ()
-    solutions = s.run()
+    monkeypatch.setattr("digroups.search._lex_filter", lambda active, *table: active)
+    solutions = _Search(n).run()
     assert len(solutions) == labeled
     assert len(set(solutions)) == labeled
     classes = {
@@ -248,11 +249,24 @@ def is_lex_least(table):
     return True
 
 
-def test_order_9_has_four_classes():
+def test_order_9_has_four_classes(monkeypatch):
     # The structure of the module docstring gives 2 + 1 + 1 classes at
     # order 9: the groups Z9 and Z3 x Z3, the group core Z3 acting trivially
-    # on a pointed fiber of size 3, and the trivial digroup.
+    # on a pointed fiber of size 3, and the trivial digroup.  The node count
+    # is pinned as in test_search_node_counts_are_pinned, on the same run.
+    from digroups.search import _Search
+
+    calls = 0
+    dfs = _Search._dfs
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return dfs(self, *args)
+
+    monkeypatch.setattr(_Search, "_dfs", counted)
     entries = enumerate_digroups(9, SearchOptions(allow_large=True))
+    assert calls == 604
     assert len(entries) == 4
     assert sum(e.group for e in entries) == 2
     for e in entries:
@@ -271,6 +285,48 @@ def test_out_of_order_solutions_are_rejected():
         _entries_from_solutions(2, ordered[::-1])
     with pytest.raises(ConstructionError):
         _entries_from_solutions(2, ordered[:1] * 2)
+
+
+def test_lex_filter_cuts_where_a_whole_relabeling_reads_below():
+    # The partial relabelings must cut exactly when one of the (n-1)!
+    # identity-fixing relabelings, compared one by one along the key, reads
+    # below the table at its first decided cell.  The unit cells are seeded
+    # as the search seeds them; the others are revealed one at a time, in a
+    # seeded order with seeded values.
+    import itertools
+    import random
+
+    from digroups.morphisms import _first_partial, _lex_filter
+    from digroups.search import _search_tables
+
+    def some_image_below(val, n, bcells, bkeys):
+        for images in itertools.permutations(range(1, n)):
+            p = (0,) + images
+            inv = [p.index(v) for v in range(n)]
+            for cell, (base, x, y) in zip(bcells, bkeys):
+                cur, raw = val[cell], val[base + inv[x] * n + inv[y]]
+                if cur < 0 or raw < 0 or p[raw] > cur:
+                    break
+                if p[raw] < cur:
+                    return True
+        return False
+
+    rng = random.Random(604)
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        _, _, bcells, bkeys, _ = _search_tables(n)
+        val = [-1] * (2 * n * n)
+        for x in range(n):
+            val[x * n] = val[n * n + x] = x  # x⇀e = x and e↼x = x
+        active = [_first_partial(n)]
+        cells = [c for c, v in enumerate(val) if v < 0]
+        rng.shuffle(cells)
+        for cell in cells:
+            val[cell] = rng.randrange(n) if rng.random() < 0.8 else rng.randrange(2)
+            active = _lex_filter(active, val, bcells, bkeys, n)
+            assert (active is None) == some_image_below(val, n, bcells, bkeys)
+            if active is None:
+                break
 
 
 def test_instance_encoding_matches_axiom_checker():
