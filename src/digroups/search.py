@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .morphisms import _first_partial, _lex_filter, canonical_form, find_isomorphism
+from .morphisms import _first_partial, _lex_filter, canonical_form
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
@@ -385,6 +385,15 @@ def count_by_class(entries: list[CatalogEntry]) -> dict[str, int]:
     }
 
 
+def _is_builtin(entry: CatalogEntry, name: str) -> bool:
+    """Whether entry's class is the named builtin's, by canonical table; the
+    orders are compared first, so no entry reaches the canonical cap."""
+    ref = builtin(name)
+    return entry.canonical.order == ref.order and (
+        canonical_form(entry.canonical).table == canonical_form(ref).table
+    )
+
+
 def verify_classification_claims(
     catalogs: Optional[dict[int, list[CatalogEntry]]] = None,
     through: int = 6,
@@ -401,9 +410,13 @@ def verify_classification_claims(
         audit).
     C5: N fails commutativity at the witness pair (β, β).
 
+    The claims are one table of rows (id, largest order needed, expected
+    text, check); one loop times each check and builds its ClaimResult.  M and
+    N are recognised by canonical table.
+
     Precomputed catalogs may be passed in keyed by order; missing orders are
     enumerated with the default options.  Claims needing orders above
-    ``through`` are skipped (C5 always runs).
+    ``through`` are skipped (C5 needs none and always runs).
     """
     cache: dict[int, list[CatalogEntry]] = dict(catalogs or {})
 
@@ -412,98 +425,61 @@ def verify_classification_claims(
             cache[order] = enumerate_digroups(order)
         return cache[order]
 
-    claims: list[ClaimResult] = []
-
-    if through >= 1:
-        start = time.perf_counter()
+    def c1():
         ones = catalog(1)
-        passed = len(ones) == 1 and ones[0].group
-        claims.append(
-            ClaimResult(
-                "C1",
-                "order 1 has exactly one class, the trivial group",
-                f"{len(ones)} class(es), group={ones[0].group if ones else None}",
-                passed,
-                time.perf_counter() - start,
-            )
-        )
+        observed = f"{len(ones)} class(es), group={ones[0].group if ones else None}"
+        return observed, len(ones) == 1 and ones[0].group
 
-    if through >= 2:
-        start = time.perf_counter()
+    def c2():
         twos = catalog(2)
         non_groups = [e for e in twos if not e.group]
-        m_found = (
-            len(twos) == 2
-            and len(non_groups) == 1
-            and find_isomorphism(non_groups[0].canonical, builtin("M")) is not None
-        )
-        passed = m_found and claims[0].passed
-        claims.append(
-            ClaimResult(
-                "C2",
-                "order 2 has one non-group class isomorphic to M, the smallest "
-                "digroup that is not a group",
-                f"{len(twos)} classes, {len(non_groups)} non-group",
-                passed,
-                time.perf_counter() - start,
-            )
-        )
+        m_found = len(twos) == 2 and len(non_groups) == 1 and _is_builtin(non_groups[0], "M")
+        observed = f"{len(twos)} classes, {len(non_groups)} non-group"
+        return observed, m_found and claims[0].passed  # C1 always runs first
 
-    if through >= 5:
-        start = time.perf_counter()
-        observed = []
-        passed = True
-        for order in (3, 4, 5):
-            nc = [e for e in catalog(order) if not e.commutative]
-            observed.append(
-                f"order {order}: {len(nc)} non-commutative of {len(catalog(order))}"
-            )
-            passed = passed and not nc
-        claims.append(
-            ClaimResult(
-                "C3",
-                "every digroup of order 3, 4 or 5 is commutative",
-                "; ".join(observed),
-                passed,
-                time.perf_counter() - start,
-            )
+    def c3():
+        counts = [
+            (order, sum(1 for e in catalog(order) if not e.commutative), len(catalog(order)))
+            for order in (3, 4, 5)
+        ]
+        observed = "; ".join(
+            f"order {order}: {nc} non-commutative of {total}" for order, nc, total in counts
         )
+        return observed, not any(nc for _, nc, _ in counts)
 
-    if through >= 6:
-        start = time.perf_counter()
+    def c4():
         sixes = catalog(6)
         nc = [e for e in sixes if not e.commutative]
         nc_non_group = [e for e in nc if not e.group]
-        passed = len(nc_non_group) == 1 and (
-            find_isomorphism(nc_non_group[0].canonical, builtin("N")) is not None
+        observed = (
+            f"{len(sixes)} classes, {len(nc)} non-commutative "
+            f"({sum(1 for e in nc if e.group)} of them groups), "
+            f"{len(nc_non_group)} non-commutative non-group"
         )
-        claims.append(
-            ClaimResult(
-                "C4",
-                "order 6 has exactly one non-commutative class that is not a "
-                "group, and it is N",
-                f"{len(sixes)} classes, {len(nc)} non-commutative "
-                f"({sum(1 for e in nc if e.group)} of them groups), "
-                f"{len(nc_non_group)} non-commutative non-group",
-                passed,
-                time.perf_counter() - start,
-                entries=tuple(nc),
-            )
-        )
+        passed = len(nc_non_group) == 1 and _is_builtin(nc_non_group[0], "N")
+        return observed, passed, tuple(nc)
 
-    start = time.perf_counter()
-    n_table = builtin("N")
-    lhs = n_table.left[2][2]
-    rhs = n_table.right[2][2]
-    passed = lhs != rhs and lhs == 4 and rhs == 5
-    claims.append(
-        ClaimResult(
-            "C5",
-            "N is non-commutative at the witness pair (β, β)",
-            f"β⇀β = {n_table.label(lhs)}, β↼β = {n_table.label(rhs)}",
-            passed,
-            time.perf_counter() - start,
-        )
+    def c5():
+        n_table = builtin("N")
+        lhs, rhs = n_table.left[2][2], n_table.right[2][2]
+        observed = f"β⇀β = {n_table.label(lhs)}, β↼β = {n_table.label(rhs)}"
+        return observed, lhs == 4 and rhs == 5
+
+    rows = (
+        ("C1", 1, "order 1 has exactly one class, the trivial group", c1),
+        ("C2", 2, "order 2 has one non-group class isomorphic to M, the smallest "
+                  "digroup that is not a group", c2),
+        ("C3", 5, "every digroup of order 3, 4 or 5 is commutative", c3),
+        ("C4", 6, "order 6 has exactly one non-commutative class that is not a "
+                  "group, and it is N", c4),
+        ("C5", None, "N is non-commutative at the witness pair (β, β)", c5),
     )
-
+    claims: list[ClaimResult] = []
+    for claim_id, needs, expected, check in rows:
+        if needs is not None and needs > through:
+            continue
+        start = time.perf_counter()
+        observed, passed, *entries = check()
+        runtime = time.perf_counter() - start
+        claims.append(ClaimResult(claim_id, expected, observed, passed, runtime, *entries))
     return ClaimReport(tuple(claims))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -180,15 +181,62 @@ def test_check_exit_code_matches_parser_and_validator(tmp_path, doc):
     assert code == (0 if validate_digroup(table).ok else 1)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.binary())
+def _valid_documents():
+    """Digroup documents of M, N, S3, Z4 and trivial(3), and of their
+    standard triples."""
+    tables = [builtin(name) for name in ("M", "N", "S3", "Z4", "trivial(3)")]
+    docs = [serialize_digroup(t) for t in tables]
+    docs += [serialize_triple(triple_from_digroup(t)) for t in tables]
+    return [doc.encode("utf-8") for doc in docs]
+
+
+@st.composite
+def _edited_documents(draw):
+    """A valid digroup or triple document with 1-4 bytes edited: a digit
+    changed to another digit, which keeps the JSON well formed, or a byte
+    deleted, or replaced by or inserted as a printable ASCII byte.  Random
+    bytes rarely parse as JSON; these reach the commands' own checks."""
+    data = bytearray(draw(st.sampled_from(_valid_documents())))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("digit", "replace", "insert", "delete")))
+        if op == "digit":
+            digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+            data[draw(st.sampled_from(digits))] = draw(st.sampled_from(b"0123456789"))
+            continue
+        pos = draw(st.integers(0, len(data) - 1))
+        if op == "delete":
+            del data[pos]
+        elif op == "replace":
+            data[pos] = draw(st.integers(32, 126))
+        else:
+            data.insert(pos, draw(st.integers(32, 126)))
+    return bytes(data)
+
+
+# Every command that reads a file; {f} is the fuzzed file, {n} N's document.
+_FILE_COMMANDS = {
+    "check": ["check", "{f}"],
+    "info": ["info", "{f}"],
+    "subs": ["subs", "{f}"],
+    "embed": ["embed", "{f}"],
+    "triple-extract": ["triple", "extract", "{f}"],
+    "triple-check": ["triple", "check", "{f}"],
+    "triple-build": ["triple", "build", "{f}"],
+    "iso-first": ["iso", "{f}", "{n}"],
+    "iso-second": ["iso", "{n}", "{f}"],
+}
+
+
+@pytest.mark.parametrize("argv", _FILE_COMMANDS.values(), ids=_FILE_COMMANDS.keys())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary() | _edited_documents())
 @example(data=b"\xff\xfe")
 @example(data=b"[" * 200_000)
 @example(data=b"[" + b"1" * 5000 + b"]")
-def test_check_on_arbitrary_bytes_exits_with_a_code(tmp_path, data):
+def test_check_on_arbitrary_bytes_exits_with_a_code(tmp_path, n_file, argv, data):
     path = tmp_path / "doc.bin"
     path.write_bytes(data)
-    assert run_cli(["check", str(path)]) in (0, 1, 2)
+    assert run_cli([arg.format(f=path, n=n_file) for arg in argv]) in (0, 1, 2)
 
 
 def test_check_reports_undecodable_and_overdeep_files_as_input_errors(tmp_path, capsys):
@@ -450,17 +498,50 @@ def test_triple_workflows(tmp_path, n_file, capsys):
     assert run_cli(["triple", "build", str(tri)]) == 1
 
 
+_CLAIM_LINES = {
+    "C1": [
+        "C1 PASS (N.NNs): order 1 has exactly one class, the trivial group",
+        "   observed: 1 class(es), group=True",
+    ],
+    "C2": [
+        "C2 PASS (N.NNs): order 2 has one non-group class isomorphic to M, the smallest "
+        "digroup that is not a group",
+        "   observed: 2 classes, 1 non-group",
+    ],
+    "C3": [
+        "C3 PASS (N.NNs): every digroup of order 3, 4 or 5 is commutative",
+        "   observed: order 3: 0 non-commutative of 2; order 4: 0 non-commutative of 4; "
+        "order 5: 0 non-commutative of 2",
+    ],
+    "C4": [
+        "C4 PASS (N.NNs): order 6 has exactly one non-commutative class that is not a "
+        "group, and it is N",
+        "   observed: 6 classes, 2 non-commutative (1 of them groups), "
+        "1 non-commutative non-group",
+        "   class: non-group, subdigroups=6",
+        "   class: group, subdigroups=6",
+    ],
+    "C5": [
+        "C5 PASS (N.NNs): N is non-commutative at the witness pair (β, β)",
+        "   observed: β⇀β = δ, β↼β = ε",
+    ],
+}
+
+
+def _claims_stdout(capsys, *ids):
+    """The claims stdout with each timing masked, and the stdout expected for
+    the given claim ids."""
+    out = re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", capsys.readouterr().out)
+    return out, "".join(line + "\n" for i in ids for line in _CLAIM_LINES[i])
+
+
 def test_claims_subset(capsys):
     assert run_cli(["claims", "--through", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "C1 PASS" in out and "C2 PASS" in out and "C5 PASS" in out
-    assert "C4" not in out
+    out, expected = _claims_stdout(capsys, "C1", "C2", "C5")
+    assert out == expected
 
 
 def test_claims_full(capsys):
     assert run_cli(["claims"]) == 0
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines() if line.startswith("   class:")] == [
-        "   class: non-group, subdigroups=6",
-        "   class: group, subdigroups=6",
-    ]
+    out, expected = _claims_stdout(capsys, "C1", "C2", "C3", "C4", "C5")
+    assert out == expected

@@ -431,3 +431,66 @@ def test_claims_subset_run():
     report = verify_classification_claims(through=2)
     assert {c.claim_id for c in report.claims} == {"C1", "C2", "C5"}
     assert report.ok
+
+
+def _moved(entry, rng):
+    """The entry with its table relabelled by a seeded random bijection that
+    moves the identity off index 0, so the table is no longer canonical."""
+    from dataclasses import replace
+
+    from digroups import Mapping, relabel
+
+    n = entry.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if perm[0] == 0:
+        perm[0], perm[1] = perm[1], perm[0]
+    return replace(entry, canonical=relabel(entry.canonical, Mapping(n, n, tuple(perm))))
+
+
+def test_claims_recognise_relabelled_m_and_n(catalogs):
+    import random
+
+    rng = random.Random(15)
+    moved = {2: [_moved(e, rng) for e in catalogs[2]], 6: [_moved(e, rng) for e in catalogs[6]]}
+    assert all(e.canonical.identity != 0 for entries in moved.values() for e in entries)
+    report = verify_classification_claims(catalogs={**catalogs, **moved})
+    by_id = {c.claim_id: c for c in report.claims}
+    assert by_id["C2"].passed and by_id["C4"].passed
+    assert report.ok
+
+
+def test_claim_c4_fails_when_n_is_replaced_by_s3(catalogs):
+    s3 = [e for e in catalogs[6] if e.group and not e.commutative]
+    assert len(s3) == 1
+    sixes = [s3[0] if not (e.group or e.commutative) else e for e in catalogs[6]]
+    report = verify_classification_claims(catalogs={**catalogs, 6: sixes})
+    by_id = {c.claim_id: c for c in report.claims}
+    assert not by_id["C4"].passed
+    assert by_id["C4"].observed == (
+        "6 classes, 2 non-commutative (2 of them groups), 0 non-commutative non-group"
+    )
+    assert [c.claim_id for c in report.claims if not c.passed] == ["C4"]
+
+
+def test_claims_c1_and_c2_fail_on_an_empty_order_1_catalog(catalogs):
+    report = verify_classification_claims(catalogs={**catalogs, 1: []}, through=2)
+    assert [(c.claim_id, c.passed) for c in report.claims] == [
+        ("C1", False),
+        ("C2", False),
+        ("C5", True),
+    ]
+    assert report.claims[0].observed == "0 class(es), group=None"
+    assert not report.ok
+
+
+def test_canonical_recognition_of_m_and_n_agrees_with_find_isomorphism(reference_classes):
+    from digroups.search import _is_builtin
+
+    entries = [e for e in reference_classes if e.order in (2, 6)]
+    assert len(entries) == 8
+    for name in ("M", "N"):
+        named = builtin(name)
+        for e in entries:
+            assert _is_builtin(e, name) == (find_isomorphism(e.canonical, named) is not None)
+        assert sum(_is_builtin(e, name) for e in entries) == 1
