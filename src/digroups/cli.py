@@ -2,7 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 for success or a true property,
 1 for a false property (validation failed, not isomorphic, claim failed),
-2 for usage or input errors.  Invoke as ``python -m digroups <command>``.
+2 for usage or input errors.  A command that finds a property false prints
+its evidence on stdout and raises ``_PropertyFalse``; exit 1 comes only from
+``run_cli`` catching it, and no command returns a code.  Invoke as
+``python -m digroups <command>``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ OK, PROPERTY_FALSE, USAGE_ERROR = 0, 1, 2
 _ISO_CAP = 16  # trivial(18) vs Z2 x trivial(9): 10 s of find_isomorphism on 2 vCPUs
 
 
+class _PropertyFalse(Exception):
+    """The property a command decides is false; its evidence is on stdout."""
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -44,46 +51,35 @@ def _write_out(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _report_lines(report: ValidationReport) -> list[str]:
+def _print_report(report: ValidationReport) -> None:
+    """Print ``ok``, or one line per violation and raise _PropertyFalse."""
     if report.ok:
-        return ["ok"]
-    lines = []
+        print("ok")
+        return
     for v in report.violations:
         extra = ""
         if v.lhs is not None or v.rhs is not None:
             extra = f" lhs={v.lhs} rhs={v.rhs}"
-        lines.append(f"violation {v.law} witnesses={v.witnesses}{extra}")
-    return lines
+        print(f"violation {v.law} witnesses={v.witnesses}{extra}")
+    raise _PropertyFalse
 
 
-def _load_digroup(path: str) -> DigroupTable:
-    return fileio.parse_digroup(_read(path))
-
-
-def _load_valid_digroup(path: str) -> tuple[Optional[DigroupTable], int]:
-    table = _load_digroup(path)
+def _load_valid_digroup(path: str) -> DigroupTable:
+    table = fileio.parse_digroup(_read(path))
     report = validate_digroup(table)
     if not report.ok:
-        for line in _report_lines(report):
-            print(line)
-        return None, PROPERTY_FALSE
-    return table, OK
+        _print_report(report)
+    return table
 
 
-def _cmd_check(args) -> int:
-    table = _load_digroup(args.file)
-    report = validate_digroup(table)
-    for line in _report_lines(report):
-        print(line)
-    return OK if report.ok else PROPERTY_FALSE
+def _cmd_check(args) -> None:
+    _print_report(validate_digroup(fileio.parse_digroup(_read(args.file))))
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> None:
     from .subdigroups import all_subdigroups
 
-    table, code = _load_valid_digroup(args.file)
-    if table is None:
-        return code
+    table = _load_valid_digroup(args.file)
     # The subset scan is the step that can refuse an order, so it runs
     # before any line is printed.
     subdigroups = all_subdigroups(table)
@@ -97,53 +93,40 @@ def _cmd_info(args) -> int:
         + ", ".join(f"{table.label(x)}->{table.label(liu(x))}" for x in table.elements())
     )
     print(f"subdigroups: {len(subdigroups)}")
-    return OK
 
 
-def _cmd_subs(args) -> int:
+def _cmd_subs(args) -> None:
     from .subdigroups import all_subdigroups
 
-    table, code = _load_valid_digroup(args.file)
-    if table is None:
-        return code
+    table = _load_valid_digroup(args.file)
     for mask in all_subdigroups(table):
         print("{" + ", ".join(table.label(x) for x in mask.sorted_members()) + "}")
-    return OK
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> None:
     from .morphisms import find_isomorphism
 
-    t1, code = _load_valid_digroup(args.file1)
-    if t1 is None:
-        return code
-    t2, code = _load_valid_digroup(args.file2)
-    if t2 is None:
-        return code
+    t1 = _load_valid_digroup(args.file1)
+    t2 = _load_valid_digroup(args.file2)
     if t1.order == t2.order > _ISO_CAP:
         raise UnsupportedOrderError(f"iso supports order <= {_ISO_CAP}, got {t1.order}")
     mapping = find_isomorphism(t1, t2)
     if mapping is None:
         print("not isomorphic")
-        return PROPERTY_FALSE
+        raise _PropertyFalse
     print(
         ", ".join(f"{t1.label(x)}->{t2.label(mapping(x))}" for x in t1.elements())
     )
-    return OK
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> None:
     from .translations import cayley_embedding
 
-    table, code = _load_valid_digroup(args.file)
-    if table is None:
-        return code
-    prod = cayley_embedding(table)
+    prod = cayley_embedding(_load_valid_digroup(args.file))
     _write_out(fileio.serialize_embedding(prod), args.out)
-    return OK
 
 
-def _cmd_triple(args) -> int:
+def _cmd_triple(args) -> None:
     from .triples import (
         TripleValidationError,
         digroup_from_triple,
@@ -152,33 +135,25 @@ def _cmd_triple(args) -> int:
     )
 
     if args.action == "extract":
-        table, code = _load_valid_digroup(args.file)
-        if table is None:
-            return code
-        _write_out(fileio.serialize_triple(triple_from_digroup(table)), args.out)
-        return OK
+        triple = triple_from_digroup(_load_valid_digroup(args.file))
+        _write_out(fileio.serialize_triple(triple), args.out)
+        return
     triple = fileio.parse_triple(_read(args.file))
     if args.action == "check":
-        report = validate_triple(triple)
-        for line in _report_lines(report):
-            print(line)
-        return OK if report.ok else PROPERTY_FALSE
+        _print_report(validate_triple(triple))
+        return
     try:
         table = digroup_from_triple(triple)
     except TripleValidationError as exc:
         print(str(exc))
-        return PROPERTY_FALSE
+        raise _PropertyFalse from None
     _write_out(fileio.serialize_digroup(table), args.out)
-    return OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> None:
     from .search import count_by_class, enumerate_digroups, naive_enumerate
 
-    if args.naive:
-        entries = naive_enumerate(args.order)
-    else:
-        entries = enumerate_digroups(args.order)
+    entries = (naive_enumerate if args.naive else enumerate_digroups)(args.order)
     if args.count_only:
         counts = count_by_class(entries)
         keys = ("total", "commutative", "groups", "non_group", "non_commutative")
@@ -186,10 +161,9 @@ def _cmd_enumerate(args) -> int:
     else:
         lines = fileio.catalog_lines(entries)
     _write_out("\n".join(lines) + "\n", args.out)
-    return OK
 
 
-def _cmd_claims(args) -> int:
+def _cmd_claims(args) -> None:
     from .search import verify_classification_claims
 
     report = verify_classification_claims(through=args.through)
@@ -197,17 +171,15 @@ def _cmd_claims(args) -> int:
         status = "PASS" if claim.passed else "FAIL"
         print(f"{claim.claim_id} {status} ({claim.runtime_s:.2f}s): {claim.expected}")
         print(f"   observed: {claim.observed}")
-        if claim.entries:
-            for entry in claim.entries:
-                kind = "group" if entry.group else "non-group"
-                print(f"   class: {kind}, subdigroups={entry.subdigroup_count}")
-    return OK if report.ok else PROPERTY_FALSE
+        for entry in claim.entries:
+            kind = "group" if entry.group else "non-group"
+            print(f"   class: {kind}, subdigroups={entry.subdigroup_count}")
+    if not report.ok:
+        raise _PropertyFalse
 
 
-def _cmd_builtin(args) -> int:
-    table = builtin(args.name)
-    _write_out(fileio.serialize_digroup(table), args.out)
-    return OK
+def _cmd_builtin(args) -> None:
+    _write_out(fileio.serialize_digroup(builtin(args.name)), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,7 +243,10 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else OK
     try:
-        return args.func(args)
+        args.func(args)
+    except _PropertyFalse:
+        return PROPERTY_FALSE
     except (DigroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return OK

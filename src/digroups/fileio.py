@@ -127,8 +127,12 @@ def parse_triple(text: str) -> StandardTriple:
     left_inverse = _int_vector(doc, "left_inverse")
     phi = _int_vector(doc, "phi")
     try:
-        group = TransformSet.from_rows(group_rows, labeled_by_element=False)
-        semi = TransformSet.from_rows(semi_rows, labeled_by_element=False)
+        parts = []
+        for rows in (group_rows, semi_rows):
+            parts.append(TransformSet.from_rows(rows))
+            if len(parts[-1]) != len(rows):
+                raise MalformedTableError("explicit transform list must be duplicate-free")
+        group, semi = parts
         if group.carrier_size != carrier or semi.carrier_size != carrier:
             raise MalformedTableError("transform rows do not match carrier_size")
         return StandardTriple(carrier, group, semi, right_unit, tuple(left_inverse), tuple(phi))

@@ -127,14 +127,6 @@ class DigroupTable:
             if len(set(self.labels)) != n:
                 raise MalformedTableError("labels must be pairwise distinct")
 
-    def lprod(self, x: Element, y: Element) -> Element:
-        """Left product x ⇀ y."""
-        return self.left[x][y]
-
-    def rprod(self, x: Element, y: Element) -> Element:
-        """Right product x ↼ y."""
-        return self.right[x][y]
-
     def label(self, x: Element) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 

@@ -47,8 +47,10 @@ from .tables import (
     Element,
     Mapping,
     MalformedTableError,
+    UnsupportedOrderError,
     ValidationReport,
     Violation,
+    _VALIDATE_CAP,
     _pair_table,
     _require_checkable,
     ensure_valid,
@@ -120,10 +122,8 @@ class TransformSet:
         return self._index.get(bytes(t.image))
 
     @staticmethod
-    def from_rows(rows, labeled_by_element: bool = True) -> "TransformSet":
-        """Build from per-element image rows, deduplicating in first-seen
-        order.  With labeled_by_element=False the rows are taken as already
-        distinct transforms labeled by their own position."""
+    def from_rows(rows) -> "TransformSet":
+        """Build from per-element image rows, deduplicating in first-seen order."""
         rows = [tuple(map(int, row)) for row in rows]
         if not rows:
             raise MalformedTableError("transform set needs at least one transform")
@@ -136,8 +136,6 @@ class TransformSet:
                 seen[row] = len(transforms)
                 transforms.append(Mapping(n, n, row))
             labels.append(seen[row])
-        if not labeled_by_element and len(transforms) != len(rows):
-            raise MalformedTableError("explicit transform list must be duplicate-free")
         return TransformSet(
             n, tuple(transforms), Mapping(len(rows), len(transforms), tuple(labels))
         )
@@ -275,12 +273,19 @@ def _composition_table(afters, ts: TransformSet, error: str) -> list[list[int]]:
     return rows
 
 
+def _require_product_checkable(group: TransformSet, semi: TransformSet) -> None:
+    """Refuse a pair product beyond the axiom check's order cap."""
+    order = len(group) * len(semi)
+    if order > _VALIDATE_CAP:
+        raise UnsupportedOrderError(f"pair product supports order <= {_VALIDATE_CAP}, got {order}")
+
+
 def _index_tables(group: TransformSet, semi: TransformSet, phi: Sequence[int]):
     """What the pair digroup of standard-triple data is filled from: the
     index of the identity transform in the group part, and the index tables
     of α∘β (group part), f∘g (semi part) and phi(f)∘g (semi part).  Products
     beyond the axiom check's cap are refused before any table is built."""
-    _require_checkable(len(group) * len(semi))
+    _require_product_checkable(group, semi)
     ident = group._index.get(bytes(range(group.carrier_size)))
     if ident is None:
         raise ConstructionError("group part lacks the identity transform")

@@ -46,6 +46,7 @@ from .translations import (
     TransformSet,
     _first_violation,
     _phi,
+    _require_product_checkable,
     _triple_table,
     left_translations,
 )
@@ -230,7 +231,7 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
     check's order cap before validating the triple, then triples failing
     validation, and verifies the produced table against the axiom checker.
     """
-    _require_checkable(len(triple.group_part) * len(triple.semi_part))
+    _require_product_checkable(triple.group_part, triple.semi_part)
     report = validate_triple(triple)
     if not report.ok:
         raise TripleValidationError(

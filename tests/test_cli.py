@@ -113,6 +113,34 @@ def test_triple_build_refuses_a_large_product(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, document, err",
+    [
+        (
+            ["embed"],
+            lambda: serialize_digroup(builtin("Z20")),
+            "pair product supports order <= 200, got 400",
+        ),
+        (
+            ["triple", "build"],
+            lambda: serialize_triple(triple_from_digroup(builtin("Z200"))),
+            "pair product supports order <= 200, got 40000",
+        ),
+        (
+            ["check"],
+            lambda: serialize_digroup(cyclic_group(201)),
+            "axiom check supports order <= 200, got 201",
+        ),
+    ],
+    ids=["embed", "triple-build", "check"],
+)
+def test_refusals_name_the_cap_that_was_reached(tmp_path, capsys, argv, document, err):
+    path = tmp_path / "doc.json"
+    path.write_text(document(), encoding="utf-8")
+    assert run_cli([*argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_triple_check_refuses_a_large_carrier(tmp_path, capsys):
     path = tmp_path / "trivial201_triple.json"
     triple = triple_from_digroup(trivial_digroup(201))
@@ -333,24 +361,25 @@ def test_subs(n_file, capsys):
         ["iso", "{m}", "{broken}"],
         ["embed", "{broken}"],
         ["triple", "extract", "{broken}"],
+        ["info", "{broken}"],
+        ["subs", "{broken}"],
+        ["check", "{broken}"],
+        ["embed", "{broken}", "--out", "{out}"],
+        ["triple", "extract", "{broken}", "--out", "{out}"],
     ],
 )
 def test_commands_report_an_invalid_digroup(argv, tmp_path, m_file, capsys):
     doc = '{"order": 2, "identity": 0, "left": [[0, 0], [1, 0]], "right": [[0, 1], [0, 1]]}'
     path = tmp_path / "broken.json"
     path.write_text(doc, encoding="utf-8")
-    argv = [arg.format(broken=path, m=m_file) for arg in argv]
+    out = tmp_path / "out.json"
+    argv = [arg.format(broken=path, m=m_file, out=out) for arg in argv]
     assert run_cli(argv) == 1
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines and all(line.startswith("violation ") for line in lines)
-
-
-def test_info_and_subs_on_invalid_table(tmp_path, capsys):
-    doc = '{"order": 2, "identity": 0, "left": [[0, 0], [1, 0]], "right": [[0, 1], [0, 1]]}'
-    path = tmp_path / "broken.json"
-    path.write_text(doc, encoding="utf-8")
-    assert run_cli(["info", str(path)]) == 1
-    assert run_cli(["subs", str(path)]) == 1
+    assert captured.err == ""
+    assert not out.exists()
 
 
 def test_embed_out_file(tmp_path, n_file):
@@ -545,3 +574,16 @@ def test_claims_full(capsys):
     assert run_cli(["claims"]) == 0
     out, expected = _claims_stdout(capsys, "C1", "C2", "C3", "C4", "C5")
     assert out == expected
+
+
+def test_claims_failure_exits_1_after_the_report(monkeypatch, capsys):
+    # N resolving to S3 fails C4 (the order-6 non-group class is not S3)
+    # and C5 (S3 is a group, so its two products agree at N's witness pair)
+    import digroups.search
+
+    real = digroups.search.builtin
+    monkeypatch.setattr(digroups.search, "builtin", lambda name: real("S3" if name == "N" else name))
+    assert run_cli(["claims"]) == 1
+    out, _ = _claims_stdout(capsys)
+    heads = [line.split(" (")[0] for line in out.splitlines() if line[:1] == "C"]
+    assert heads == ["C1 PASS", "C2 PASS", "C3 PASS", "C4 FAIL", "C5 FAIL"]

@@ -100,6 +100,23 @@ def test_parse_rejects_booleans_as_integers(kind, path):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["group_part"].append(doc["group_part"][0]),
+        lambda doc: doc["semi_part"].append(doc["semi_part"][1]),
+        # broken in both parts: the group part is checked first
+        lambda doc: doc.update(group_part=doc["group_part"] * 2, semi_part=[]),
+    ],
+    ids=["group", "semi", "group-then-empty-semi"],
+)
+def test_parse_triple_rejects_a_repeated_transform(edit):
+    doc = json.loads(serialize_triple(triple_from_digroup(builtin("N"))))
+    edit(doc)
+    with pytest.raises(ParseError, match="^explicit transform list must be duplicate-free$"):
+        parse_triple(json.dumps(doc))
+
+
 def test_parse_rejects_non_json_and_non_object():
     with pytest.raises(ParseError, match="line 1"):
         parse_digroup("not json")

@@ -147,12 +147,8 @@ def test_digroup_from_triple_rejects_invalid(n_table):
 def test_external_triple_with_identity_labeling(n_table):
     # rebuild the triple through explicit transform lists, as a file would
     t = triple_from_digroup(n_table)
-    group = TransformSet.from_rows(
-        [tr.image for tr in t.group_part.transforms], labeled_by_element=False
-    )
-    semi = TransformSet.from_rows(
-        [tr.image for tr in t.semi_part.transforms], labeled_by_element=False
-    )
+    group = TransformSet.from_rows([tr.image for tr in t.group_part.transforms])
+    semi = TransformSet.from_rows([tr.image for tr in t.semi_part.transforms])
     rebuilt = StandardTriple(
         t.carrier_size, group, semi, t.right_unit, t.left_inverse, t.phi
     )
@@ -245,10 +241,7 @@ def _corrupted_triples(t, rng, count):
         rows[i][x] = rng.choice([v for v in range(n) if v != rows[i][x]])
         if len(set(map(tuple, rows))) != len(rows):
             continue
-        group, semi = (
-            TransformSet.from_rows(parts[p], labeled_by_element=False)
-            for p in ("group", "semi")
-        )
+        group, semi = (TransformSet.from_rows(parts[p]) for p in ("group", "semi"))
         out.append(
             StandardTriple(n, group, semi, t.right_unit, t.left_inverse, t.phi)
         )
