@@ -28,7 +28,7 @@ from .tables import (
 )
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 1, 2
-_ISO_CAP = 16  # trivial(18) vs Z2 x trivial(9): 10 s of find_isomorphism on 2 vCPUs
+_ISO_CAP = 16  # find_isomorphism, Z2^5 vs Z4 x Z2^3: 5 s; Z2^6 vs Z4 x Z2^4: over 90 s
 
 
 class _PropertyFalse(Exception):

@@ -1,11 +1,12 @@
 """Reading, writing and rendering of digroup and triple documents.
 
-Documents are JSON objects with a fixed field layout, written with one matrix
-row per line so diffs stay readable.  A digroup document carries order,
-identity, left, right and optional labels; a triple document carries
-carrier_size, group_part, semi_part, right_unit, left_inverse and phi.
-Catalogs stream one compact entry per line (digroup fields plus flags).
-Parsing checks structure only; callers run the axiom checkers.
+Documents are JSON objects written by one writer, a field per line and a
+matrix row per line so diffs stay readable.  A digroup document carries
+order, identity, optional labels, left and right, in that order, listed once
+in digroup_to_dict; the embedding document appends eta, diagonal and pairs,
+and a catalog line (one compact entry per line) flags and subdigroup_count.
+A triple document carries carrier_size, group_part, semi_part, right_unit,
+left_inverse and phi.  Parsing checks structure only.
 """
 
 from __future__ import annotations
@@ -87,32 +88,31 @@ def parse_digroup(text: str) -> DigroupTable:
     return digroup_from_dict(_json_object(text))
 
 
-def _matrix_lines(rows, indent: str) -> str:
-    body = (",\n" + indent).join(
-        "[" + ", ".join(str(v) for v in row) + "]" for row in rows
-    )
-    return body
+def _document(doc: dict) -> str:
+    """Write a document one field per line, in the dict's order, and the
+    matrix fields one row per line."""
+    parts = []
+    for key, value in doc.items():
+        if key in ("left", "right", "group_part", "semi_part"):
+            value = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            value = json.dumps(value, ensure_ascii=False)
+        parts.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def digroup_to_dict(table: DigroupTable) -> dict:
-    doc = {
-        "order": table.order,
-        "identity": table.identity,
-        "left": [list(row) for row in table.left],
-        "right": [list(row) for row in table.right],
-    }
+    """The digroup document's fields in order; json writes the row tuples as arrays."""
+    doc = {"order": table.order, "identity": table.identity}
     if table.labels is not None:
-        doc["labels"] = list(table.labels)
+        doc["labels"] = table.labels
+    doc["left"] = table.left
+    doc["right"] = table.right
     return doc
 
 
 def serialize_digroup(table: DigroupTable) -> str:
-    parts = [f'  "order": {table.order}', f'  "identity": {table.identity}']
-    if table.labels is not None:
-        parts.append('  "labels": ' + json.dumps(list(table.labels), ensure_ascii=False))
-    parts.append('  "left": [\n    ' + _matrix_lines(table.left, "    ") + "\n  ]")
-    parts.append('  "right": [\n    ' + _matrix_lines(table.right, "    ") + "\n  ]")
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    return _document(digroup_to_dict(table))
 
 
 def parse_triple(text: str) -> StandardTriple:
@@ -141,33 +141,26 @@ def parse_triple(text: str) -> StandardTriple:
 
 
 def serialize_triple(triple: StandardTriple) -> str:
-    parts = [f'  "carrier_size": {triple.carrier_size}']
-    parts.append(
-        '  "group_part": [\n    '
-        + _matrix_lines([t.image for t in triple.group_part.transforms], "    ")
-        + "\n  ]"
+    return _document(
+        {
+            "carrier_size": triple.carrier_size,
+            "group_part": [t.image for t in triple.group_part.transforms],
+            "semi_part": [t.image for t in triple.semi_part.transforms],
+            "right_unit": triple.right_unit,
+            "left_inverse": triple.left_inverse,
+            "phi": triple.phi,
+        }
     )
-    parts.append(
-        '  "semi_part": [\n    '
-        + _matrix_lines([t.image for t in triple.semi_part.transforms], "    ")
-        + "\n  ]"
-    )
-    parts.append(f'  "right_unit": {triple.right_unit}')
-    parts.append('  "left_inverse": ' + json.dumps(list(triple.left_inverse)))
-    parts.append('  "phi": ' + json.dumps(list(triple.phi)))
-    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def serialize_embedding(prod) -> str:
     """Product digroup document extended with the embedding data: eta (source
     element -> carrier point), the diagonal, and per-point component pairs."""
-    base = serialize_digroup(prod.table).rstrip("}\n")
-    extra = [
-        '  "eta": ' + json.dumps(list(prod.eta.image)),
-        '  "diagonal": ' + json.dumps(sorted(prod.diagonal.members)),
-        '  "pairs": [' + ", ".join(f"[{i}, {j}]" for i, j in prod.pair_labels) + "]",
-    ]
-    return base + ",\n" + ",\n".join(extra) + "\n}\n"
+    doc = digroup_to_dict(prod.table)
+    doc["eta"] = prod.eta.image
+    doc["diagonal"] = sorted(prod.diagonal.members)
+    doc["pairs"] = prod.pair_labels
+    return _document(doc)
 
 
 def render_table(table: DigroupTable) -> str:

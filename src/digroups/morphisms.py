@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError
+from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError, _reindex
 
 # trivial(n) keeps all (n-1)! relabelings tied to the end: 5040 at order 8.
 _CANONICAL_CAP = 8
@@ -37,19 +37,7 @@ def relabel(table: DigroupTable, perm: Mapping) -> DigroupTable:
     """Apply a bijective relabeling: new[p(x)][p(y)] = p(old[x][y])."""
     if not perm.is_bijection() or perm.domain_size != table.order:
         raise MalformedTableError("relabeling must be a bijection of the carrier")
-    n = table.order
-    p = perm.image
-    inv = perm.inverse().image
-    left = tuple(
-        tuple(p[table.left[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-    )
-    right = tuple(
-        tuple(p[table.right[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-    )
-    labels = None
-    if table.labels is not None:
-        labels = tuple(table.labels[inv[x]] for x in range(n))
-    return DigroupTable(n, p[table.identity], left, right, labels)
+    return _reindex(table, perm.inverse().image)
 
 
 def is_homomorphism(d1: DigroupTable, d2: DigroupTable, m: Mapping) -> bool:
@@ -178,7 +166,8 @@ def find_isomorphism(d1: DigroupTable, d2: DigroupTable) -> Optional[Mapping]:
     propagation: once m[x] and m[y] are set, m[x*y] is forced for both
     products.  The mapping returned is the lexicographically least.
     """
-    if d1.order != d2.order:
+    # f(e⇀x) = e′⇀f(x), so an isomorphism maps the core {e⇀x} onto the core.
+    if d1.order != d2.order or len(set(d1.left[d1.identity])) != len(set(d2.left[d2.identity])):
         return None
     n = d1.order
     image = [-1] * n

@@ -20,6 +20,7 @@ from .tables import (
     Element,
     MalformedTableError,
     UnsupportedOrderError,
+    _reindex,
     liu_inverse_map,
     validate_digroup,
 )
@@ -89,15 +90,10 @@ def restrict(table: DigroupTable, subset) -> DigroupTable:
     h = sorted(_members(table, subset))
     if table.identity not in h:
         raise MalformedTableError("restriction requires the identity in the subset")
-    pos = {x: i for i, x in enumerate(h)}
-    for a in h:
-        for b in h:
-            if table.left[a][b] not in pos or table.right[a][b] not in pos:
-                raise MalformedTableError("subset is not closed under the products")
-    left = tuple(tuple(pos[table.left[a][b]] for b in h) for a in h)
-    right = tuple(tuple(pos[table.right[a][b]] for b in h) for a in h)
-    labels = tuple(table.label(x) for x in h) if table.labels is not None else None
-    return DigroupTable(len(h), pos[table.identity], left, right, labels)
+    try:
+        return _reindex(table, h)
+    except KeyError:
+        raise MalformedTableError("subset is not closed under the products") from None
 
 
 def subdigroup_criteria(table: DigroupTable, subset) -> tuple[bool, bool, bool]:

@@ -219,6 +219,18 @@ class Mapping:
         return Mapping(n, n, tuple(range(n)))
 
 
+def _reindex(table: DigroupTable, members: Sequence[Element]) -> DigroupTable:
+    """The table on members[0], members[1], ... relabelled 0, 1, ....  A
+    product or identity outside members raises KeyError."""
+    pos = {x: i for i, x in enumerate(members)}
+    left, right = (
+        tuple(tuple(pos[rows[a][b]] for b in members) for a in members)
+        for rows in (table.left, table.right)
+    )
+    labels = None if table.labels is None else tuple(table.labels[x] for x in members)
+    return DigroupTable(len(members), pos[table.identity], left, right, labels)
+
+
 def _first_difference(a: bytes, b: bytes) -> int:
     """The first index where two unequal byte strings of one length differ."""
     bits = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
@@ -363,6 +375,7 @@ def is_group(table: DigroupTable) -> bool:
 # ---------------------------------------------------------------------------
 
 _M_LABELS = ("0", "a")
+_M_LEFT, _M_RIGHT = ((0, 0), (1, 1)), ((0, 1), (0, 1))
 _N_LABELS = ("e", "α", "β", "γ", "δ", "ε")
 
 # Order-6 non-commutative digroup; rows are the left operand.
@@ -384,7 +397,7 @@ _N_RIGHT = (
 )
 
 
-def trivial_digroup(n: int, labels: Optional[Sequence[str]] = None) -> DigroupTable:
+def trivial_digroup(n: int) -> DigroupTable:
     """The projection digroup: x ⇀ y = x and x ↼ y = y, identity 0.
 
     Every element is a bar-unit here; 0 is the distinguished one.  The order-2
@@ -394,7 +407,7 @@ def trivial_digroup(n: int, labels: Optional[Sequence[str]] = None) -> DigroupTa
         raise MalformedTableError("trivial digroup needs order >= 1")
     left = tuple(tuple(x for _ in range(n)) for x in range(n))
     right = tuple(tuple(range(n)) for _ in range(n))
-    return DigroupTable(n, 0, left, right, tuple(labels) if labels else None)
+    return DigroupTable(n, 0, left, right)
 
 
 def cyclic_group(n: int) -> DigroupTable:
@@ -462,7 +475,7 @@ def builtin(name: str) -> DigroupTable:
     """
     name = name.strip()
     if name == "M":
-        return trivial_digroup(2, _M_LABELS)
+        return DigroupTable(2, 0, _M_LEFT, _M_RIGHT, _M_LABELS)
     if name == "N":
         return DigroupTable(6, 0, _N_LEFT, _N_RIGHT, _N_LABELS)
     if name == "S3":

@@ -38,6 +38,9 @@ _INPUTS = {
     "z2_trivial8.json": lambda: serialize_digroup(
         direct_product(builtin("Z2"), trivial_digroup(8))
     ),
+    "trivial2_trivial8.json": lambda: serialize_digroup(
+        direct_product(trivial_digroup(2), trivial_digroup(8))
+    ),
     "trivial18.json": lambda: serialize_digroup(trivial_digroup(18)),
     "z2_trivial9.json": lambda: serialize_digroup(
         direct_product(builtin("Z2"), trivial_digroup(9))
@@ -59,6 +62,8 @@ BUDGETS = [
     (["enumerate", "6"], 0, 5, 128),  # 0.14 s
     (["claims"], 0, 5, 128),  # 0.14 s
     (["iso", "trivial16.json", "z2_trivial8.json"], 1, 10, 128),  # 0.86 s
+    (["iso", "z2_trivial8.json", "trivial16.json"], 1, 10, 128),  # 0.15 s, cores of 2 and 1
+    (["iso", "z2_trivial8.json", "trivial2_trivial8.json"], 1, 10, 128),  # 0.16 s, cores of 2 and 1
     (["iso", "trivial18.json", "z2_trivial9.json"], 2, 5, 128),  # 0.10 s, refused
 ]
 

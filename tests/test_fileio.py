@@ -5,14 +5,17 @@ import json
 import pytest
 
 from digroups import (
+    CatalogEntry,
     ParseError,
     builtin,
     catalog_lines,
+    cayley_embedding,
     parse_catalog_line,
     parse_digroup,
     parse_triple,
     render_table,
     serialize_digroup,
+    serialize_embedding,
     serialize_triple,
     triple_from_digroup,
     validate_triple,
@@ -179,3 +182,20 @@ def test_parse_catalog_line_requires_flags():
         parse_catalog_line(
             '{"order": 1, "identity": 0, "left": [[0]], "right": [[0]]}'
         )
+
+
+def test_embedding_document_extends_the_digroup_document(n_table):
+    prod = cayley_embedding(n_table)
+    keys = list(json.loads(serialize_embedding(prod)))
+    digroup_keys = list(json.loads(serialize_digroup(prod.table)))
+    assert keys == digroup_keys + ["eta", "diagonal", "pairs"]
+
+
+def test_labelled_catalog_line_lists_the_document_fields_in_order(n_table):
+    entry = CatalogEntry(
+        canonical=n_table, order=6, commutative=False, group=False, subdigroup_count=6
+    )
+    keys = list(json.loads(catalog_lines([entry])[0]))
+    document_keys = list(json.loads(serialize_digroup(n_table)))
+    assert document_keys == ["order", "identity", "labels", "left", "right"]
+    assert keys == document_keys + ["flags", "subdigroup_count"]

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from digroups import (
     CanonicalTable,
     DigroupTable,
+    MalformedTableError,
     Mapping,
     all_subdigroups,
     automorphisms,
@@ -51,6 +52,21 @@ def test_m_to_z2_not_homomorphism(m_table):
     # a ⇀ a = a in M but 1 + 1 = 0 in Z2
     z2 = cyclic_group(2)
     assert not is_homomorphism(m_table, z2, Mapping(2, 2, (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        Mapping(6, 6, (0, 0, 1, 2, 3, 4)),  # not injective
+        Mapping(6, 7, (0, 1, 2, 3, 4, 5)),  # not onto
+        Mapping(5, 5, (0, 1, 2, 3, 4)),  # too small
+        Mapping(7, 7, (0, 1, 2, 3, 4, 5, 6)),  # too large
+    ],
+)
+def test_relabel_requires_a_bijection_of_the_carrier(n_table, perm):
+    message = "^relabeling must be a bijection of the carrier$"
+    with pytest.raises(MalformedTableError, match=message):
+        relabel(n_table, perm)
 
 
 def test_find_isomorphism_m_swap(m_table):

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from digroups import (
+    MalformedTableError,
+    Mapping,
     SubsetMask,
     all_subdigroups,
     builtin,
     generated_subdigroup,
     is_subdigroup,
     liu_inverse_map,
+    relabel,
     restrict,
     subdigroup_criteria,
     validate_digroup,
@@ -115,6 +118,31 @@ def test_restricted_subdigroups_validate(n_table):
         sub = restrict(n_table, mask)
         assert validate_digroup(sub).ok
         assert sub.identity == sorted(mask.members).index(n_table.identity)
+
+
+def test_restrict_requires_the_identity(n_table):
+    message = "^restriction requires the identity in the subset$"
+    with pytest.raises(MalformedTableError, match=message):
+        restrict(n_table, {1, 2})
+
+
+def test_restrict_requires_a_closed_subset(n_table):
+    # e ⇀ β = α, outside {e, β}
+    message = "^subset is not closed under the products$"
+    with pytest.raises(MalformedTableError, match=message):
+        restrict(n_table, {0, 2})
+
+
+def test_labels_follow_their_elements(n_table):
+    perm = Mapping(6, 6, (3, 0, 2, 5, 1, 4))
+    moved = relabel(n_table, perm)
+    assert moved.identity == 3
+    assert [moved.label(perm(x)) for x in range(6)] == list(n_table.labels)
+    # {e, δ, ε} sits at {3, 1, 4} after the relabelling
+    sub = restrict(moved, {3, 1, 4})
+    assert sub.labels == ("δ", "e", "ε")
+    assert sub.identity == 1
+    assert restrict(n_table, {0, 4, 5}).labels == ("e", "δ", "ε")
 
 
 def test_subset_mask_range_checked():
