@@ -17,6 +17,23 @@ with no label takes the next free one, since no completion labels it lower
 and any that labels it higher reads higher there.  The search drives the
 partials against its own table (_lex_filter); canonical_form runs them in
 lockstep, and they are whole relabelings once row e of ⇀ is read.
+
+Once the search's table T is complete, the lex cut asks one question: does
+some relabeling read below T?  _reads_below answers it from the root, depth
+first, pruned with automorphisms as nauty prunes (McKay and Piperno 2014).
+A relabeling that ties T to the end maps T to T, so it is an automorphism;
+it is kept.  At a branch point with labelled prefix inv, once child t is
+refuted (no completion in its branch reads below T), a sibling u is skipped
+if some automorphism α found so far, or a product of them, fixes inv
+pointwise and sends t to u.  This is sound: for every relabeling σ′ in the u
+branch, σ′∘α gives the same image, since α(T) = T, and σ′∘α labels inv as
+σ′ does and t as σ′ labels u, so it lies in the t branch, where no image
+reads below T.  The key cells are the same set under every identity-fixing
+relabeling, so this holds for the key alone.  Nothing like it holds for a
+partial table, whose ties need not be automorphisms of its completions; so
+the pass runs only on complete tables, and only when some tied partial is
+not yet whole: when all are whole, as on groups, whose row e of ⇀ ties every
+relabeling, no branch is left to prune and _lex_filter walks them as before.
 """
 
 from __future__ import annotations
@@ -70,8 +87,16 @@ def _lex_filter(active, val, cells, keys, n):
     val is the table flattened ⇀ then ↼ (-1 for unknown); key position pos
     reads cell cells[pos] = base + x*n + y for keys[pos] = (base, x, y).  fwd
     holds each element's label or _FREE.  A partial ties val before pos, and
-    is skipped while wait, the unknown cell that stopped it (0 if none), is."""
+    is skipped while wait, the unknown cell that stopped it (0 if none), is.
+
+    Once every key cell is known and some partial is not yet whole, the
+    answer comes from the root with automorphism pruning (_reads_below), and
+    [] stands for "none reads below"."""
     m = len(cells)
+    if min(map(val.__getitem__, cells), default=0) >= 0 and any(
+        len(item[1]) < n for item in active
+    ):
+        return None if _reads_below(*_first_partial(n)[1:], val, cells, keys, n, []) else []
     out = []
     keep = out.append
     while active:
@@ -118,6 +143,49 @@ def _lex_filter(active, val, cells, keys, n):
                 keep((wait, inv, fwd, pos))
         active = branched
     return out
+
+
+def _reads_below(inv, fwd, pos, val, cells, keys, n, autos):
+    """Whether a completion of the partial (inv, fwd, pos) reads below the
+    complete table val, depth first; each one that ties val to the end is an
+    automorphism and goes on autos as its 256-byte translate table.  Siblings
+    in the orbit of the refuted children under the automorphisms fixing inv
+    pointwise are skipped (see the module docstring)."""
+    m = len(cells)
+    while pos < m:
+        base, x, y = keys[pos]
+        if y >= len(inv):  # label y is free: branch
+            break
+        cur = val[cells[pos]]
+        raw = val[base + inv[x] * n + inv[y]]
+        img = fwd[raw]
+        if img == _FREE:
+            img = len(inv)
+            if img == cur:
+                inv += _BYTE[raw]
+                fwd = fwd[:raw] + _BYTE[img] + fwd[raw + 1 :]
+        if img != cur:
+            return img < cur
+        pos += 1
+    else:
+        autos.append(fwd.ljust(256, b"\0"))
+        return False
+    refuted = set()
+    for u in range(n):
+        if fwd[u] != _FREE or u in refuted:
+            continue
+        child = fwd[:u] + _BYTE[y] + fwd[u + 1 :]
+        if _reads_below(inv + _BYTE[u], child, pos, val, cells, keys, n, autos):
+            return True
+        gens = [a for a in autos if inv.translate(a) == inv]
+        refuted.add(u)
+        stack = list(refuted)
+        while stack:
+            w = stack.pop()
+            for v in {a[w] for a in gens} - refuted:
+                refuted.add(v)
+                stack.append(v)
+    return False
 
 
 def _least_relabelings(table: DigroupTable) -> tuple[list[bytes], list[bytes]]:

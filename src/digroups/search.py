@@ -35,9 +35,11 @@ whole flattened tables.  The relabelings are morphisms' partial ones, each
 standing for all its completions.  At a leaf every cell is known and every
 relabeling has been compared in full, so a table is emitted exactly when it
 is the lex-least member of its class, its own canonical form: one table per
-class and no dedup pass (orderly generation, McKay 1998).  Since the search
-branches on the first open cell in key order and tries values in ascending
-order, the tables come out strictly increasing.
+class and no dedup pass (orderly generation, McKay 1998).  On a complete
+table the cut prunes with the automorphisms it finds; the morphisms module
+docstring proves that sound.  Since the search branches on the first open
+cell in key order and tries values in ascending order, the tables come out
+strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
 unit constraints outright, keeps the valid ones equal to their canonical_form,

@@ -329,6 +329,73 @@ def test_lex_filter_cuts_where_a_whole_relabeling_reads_below():
                 break
 
 
+def _complete_table_reads_below(table):
+    # the search's lex cut on a complete table, from the first partial
+    from digroups.morphisms import _first_partial, _lex_filter
+    from digroups.search import _search_tables
+
+    n = table.order
+    _, _, bcells, bkeys, _ = _search_tables(n)
+    val = [v for rows in (table.left, table.right) for row in rows for v in row]
+    return _lex_filter([_first_partial(n)], val, bcells, bkeys, n) is None
+
+
+def test_complete_table_decision_matches_brute_force(reference_classes):
+    # On a complete table the cut prunes with the automorphisms it finds; it
+    # must still answer exactly as a relabeling-by-relabeling scan does.  The
+    # tables are every class of orders 2..7 with three seeded relabelings of
+    # each, and random unit-seeded tables whose free entries take 1, 2 or n
+    # values, so that symmetries are common.
+    import random
+
+    from digroups import DigroupTable, Mapping, relabel
+
+    rng = random.Random(19)
+    tables = []
+    for entry in reference_classes:
+        n = entry.order
+        if 2 <= n <= 7:
+            tables.append(entry.canonical)
+            for _ in range(3):
+                image = (0, *rng.sample(range(1, n), n - 1))
+                tables.append(relabel(entry.canonical, Mapping(n, n, image)))
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        k = rng.choice((1, 2, n))
+        # x⇀e = x, e↼x = x and x↼e = e⇀x, as the search seeds them
+        left = [[x] + [rng.randrange(k) for _ in range(1, n)] for x in range(n)]
+        right = [list(range(n))]
+        right += [[left[0][x]] + [rng.randrange(k) for _ in range(1, n)] for x in range(1, n)]
+        tables.append(DigroupTable(n, 0, left, right))
+    assert len(tables) == 3072
+    verdicts = [(_complete_table_reads_below(t), not is_lex_least(t)) for t in tables]
+    assert [t for t, (got, want) in zip(tables, verdicts) if got != want] == []
+    assert {below for below, _ in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("n,branches", [(8, 85), (9, 121), (10, 166)])
+def test_complete_table_pruning_counts_are_pinned(n, branches, monkeypatch):
+    # Every relabeling of trivial(n) is an automorphism, so without pruning
+    # the complete-table check walks all (n-1)! of them.  The count of
+    # depth-first branches is the machine-independent measure of the pruning.
+    import math
+
+    from digroups import morphisms
+
+    calls = 0
+    reads_below = morphisms._reads_below
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reads_below(*args)
+
+    monkeypatch.setattr(morphisms, "_reads_below", counted)
+    assert not _complete_table_reads_below(trivial_digroup(n))
+    assert calls == branches
+    assert calls < math.factorial(n - 1) // 50
+
+
 def test_instance_encoding_matches_axiom_checker():
     # the search's law instances, evaluated on a full table pair, must agree
     # with the checker's five diassociativity verdicts on random tables
