@@ -8,42 +8,77 @@ table then the right table row-major) over all bijections sending the
 identity to index 0; it is exact, not hash-based, so equal canonical tables
 characterize isomorphism.
 
-One engine enumerates the relabelings for canonical_form, automorphisms and
-the search's lex cut, never listing all (n-1)! of them.  A partial relabeling
-holds the elements labelled 0, 1, ... as bytes, the identity first, and
-labels go out in the order the key reads its cells: cell (0, y) of row e of
-⇀ branches over the unlabelled elements while label y is free, and a value
-with no label takes the next free one, since no completion labels it lower
-and any that labels it higher reads higher there.  The search drives the
-partials against its own table (_lex_filter); canonical_form runs them in
-lockstep, and they are whole relabelings once row e of ⇀ is read.
+One walker enumerates the relabelings for canonical_form, automorphisms and
+the search's lex cut; the walk never lists all (n-1)! of them.  A partial
+relabeling holds the elements labelled 0, 1, ... as bytes, the identity
+first, and labels go out in the order the key reads its cells: cell (0, y)
+of row e of ⇀ branches over the unlabelled elements while label y is free,
+and a value with no label takes the next free one, since no completion
+labels it lower and any that labels it higher reads higher there.  The
+partials are whole relabelings once row e of ⇀ is read.  The key (_keys) is
+every cell, ⇀ then ↼, row-major; the search's leaves out the cells it
+seeds.  The search drives the partials against its open table, breadth
+first (_lex_filter).
 
-Once the search's table T is complete, the lex cut asks one question: does
-some relabeling read below T?  _reads_below answers it from the root, depth
-first, pruned with automorphisms as nauty prunes (McKay and Piperno 2014).
-A relabeling that ties T to the end maps T to T, so it is an automorphism;
-it is kept.  At a branch point with labelled prefix inv, once child t is
-refuted (no completion in its branch reads below T), a sibling u is skipped
-if some automorphism α found so far, or a product of them, fixes inv
-pointwise and sends t to u.  This is sound: for every relabeling σ′ in the u
-branch, σ′∘α gives the same image, since α(T) = T, and σ′∘α labels inv as
-σ′ does and t as σ′ labels u, so it lies in the t branch, where no image
-reads below T.  The key cells are the same set under every identity-fixing
-relabeling, so this holds for the key alone.  Nothing like it holds for a
-partial table, whose ties need not be automorphisms of its completions; so
-the pass runs only on complete tables, and only when some tied partial is
-not yet whole: when all are whole, as on groups, whose row e of ⇀ ties every
-relabeling, no branch is left to prune and _lex_filter walks them as before.
+On a complete table T, _reads_below asks whether some relabeling reads
+below T and answers from the root, depth first, pruned with automorphisms as
+nauty prunes (McKay and Piperno 2014).  A relabeling that ties T to the end
+maps T to T, so it is an automorphism; it is recorded.  At a branch point
+with labelled prefix inv, once child t is refuted (no completion in its
+branch reads below T), a sibling u is skipped if some automorphism α
+recorded so far, or a product of them, fixes inv pointwise and sends t to u.
+This is sound: for every relabeling σ′ in the u branch, σ′∘α gives the same
+image, since α(T) = T, and σ′∘α labels inv as σ′ does and t as σ′ labels u,
+so it lies in the t branch, where no image reads below T.  The key cells are
+the same set under every identity-fixing relabeling, so this holds for the
+search's key alone.  Nothing like it holds for a partial table, whose ties
+need not be automorphisms of its completions; so the search runs the pass
+only on complete tables, and only when some tied partial is not yet whole:
+when all are whole, as on groups, whose row e of ⇀ ties every relabeling, no
+branch is left to prune and _lex_filter walks them as before.
+
+When a pass finds nothing below T, the automorphisms it recorded generate
+Aut(T), the group of relabelings that tie T.  Call a node of the pass
+explored if _reads_below ran on it; since nothing reads below T, each
+explored node ran to its end.  Claim: every σ in Aut(T) that labels an
+explored node's prefix as the node does lies in the group G that the
+recorded automorphisms generate.  By induction on the key positions left.
+σ ties T, so at each of the node's cells that labels a new value, σ labels
+it alike, and σ keeps agreeing with the node to where the node stops.  If
+the node reads above T there, no σ agrees with it.  If it reaches the end
+of the key, it is whole and ties T, so it is σ, and σ was recorded.
+Otherwise it branches on a prefix inv, and σ gives the free label to some
+unlabelled u.  If the u child was explored, σ ∈ G by induction.  If u was
+skipped, a product β of recorded automorphisms fixing inv pointwise sends an
+explored child t to u; then σ∘β is in Aut(T), labels inv as σ does and t as
+σ labels u, so σ∘β ∈ G by induction, and σ ∈ G.  Every σ in Aut(T) fixes
+the identity and agrees with the root, so G = Aut(T).
+
+canonical_form and automorphisms descend with the same pass over the full
+key.  From the table re-indexed with e first, while _reads_below returns a
+partial whose image reads below the current image, the partial is completed
+with the unlabelled elements in ascending order and the table is re-indexed
+to that image.  The partial labels every element that its last cell reads,
+the value too, so every completion ties before that cell and reads below at
+it: the images strictly decrease, and the descent ends at an image that no
+relabeling reads below, the canonical table.  If c is the relabeling that
+gives it and G the group of the last pass, the relabelings that give it are
+G∘c, the automorphisms of the table are c⁻¹∘G∘c, and the certificate is the
+least element of G∘c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError, _reindex
 
-# trivial(n) keeps all (n-1)! relabelings tied to the end: 5040 at order 8.
+# A group ties every relabeling through row e of ⇀ before any automorphism is
+# known, so the walk meets up to (n-1)! whole relabelings (Z10 takes 2 s), and
+# the relabelings that give the canonical table are listed: (n-1)! of them on
+# trivial(n), 5040 at order 8.
 _CANONICAL_CAP = 8
 
 _FREE = 255
@@ -72,6 +107,13 @@ def is_homomorphism(d1: DigroupTable, d2: DigroupTable, m: Mapping) -> bool:
             if m(d1.right[x][y]) != d2.right[mx][my]:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _keys(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The canonical key order as (table base, x, y): every cell, ⇀ then ↼,
+    row-major."""
+    return tuple((base, x, y) for base in (0, n * n) for x in range(n) for y in range(n))
 
 
 def _first_partial(n: int):
@@ -146,11 +188,13 @@ def _lex_filter(active, val, cells, keys, n):
 
 
 def _reads_below(inv, fwd, pos, val, cells, keys, n, autos):
-    """Whether a completion of the partial (inv, fwd, pos) reads below the
-    complete table val, depth first; each one that ties val to the end is an
-    automorphism and goes on autos as its 256-byte translate table.  Siblings
-    in the orbit of the refuted children under the automorphisms fixing inv
-    pointwise are skipped (see the module docstring)."""
+    """An extension of the partial (inv, fwd, pos) whose image reads below
+    the complete table val at the last key cell it reads, or None if none
+    does, found depth first; it labels every element that cell reads, its
+    value too.  Each relabeling that ties val to the end is an automorphism
+    and goes on autos as its 256-byte translate table.  Siblings in the orbit
+    of the refuted children under the automorphisms fixing inv pointwise are
+    skipped (see the module docstring)."""
     m = len(cells)
     while pos < m:
         base, x, y = keys[pos]
@@ -161,70 +205,67 @@ def _reads_below(inv, fwd, pos, val, cells, keys, n, autos):
         img = fwd[raw]
         if img == _FREE:
             img = len(inv)
-            if img == cur:
+            if img <= cur:
                 inv += _BYTE[raw]
                 fwd = fwd[:raw] + _BYTE[img] + fwd[raw + 1 :]
         if img != cur:
-            return img < cur
+            return inv if img < cur else None
         pos += 1
     else:
         autos.append(fwd.ljust(256, b"\0"))
-        return False
+        return None
     refuted = set()
     for u in range(n):
         if fwd[u] != _FREE or u in refuted:
             continue
         child = fwd[:u] + _BYTE[y] + fwd[u + 1 :]
-        if _reads_below(inv + _BYTE[u], child, pos, val, cells, keys, n, autos):
-            return True
+        below = _reads_below(inv + _BYTE[u], child, pos, val, cells, keys, n, autos)
+        if below is not None:
+            return below
         gens = [a for a in autos if inv.translate(a) == inv]
         refuted.add(u)
-        stack = list(refuted)
-        while stack:
-            w = stack.pop()
-            for v in {a[w] for a in gens} - refuted:
-                refuted.add(v)
+        _close(refuted, lambda w: [a[w] for a in gens])
+    return None
+
+
+def _close(found: set, step) -> None:
+    """Add to found every value that step, which maps a value to an iterable
+    of its images, reaches from a member."""
+    stack = list(found)
+    while stack:
+        for v in step(stack.pop()):
+            if v not in found:
+                found.add(v)
                 stack.append(v)
-    return False
 
 
-def _least_relabelings(table: DigroupTable) -> tuple[list[bytes], list[bytes]]:
-    """The rows of the least image, ⇀ then ↼, and the image vectors of the
-    relabelings that give it.  The partials run in lockstep and keep the
-    least image: a cell at a time along row e of ⇀, then a row at a time."""
+def _canonical_relabelings(table: DigroupTable) -> tuple[DigroupTable, list[bytes]]:
+    """The least image of the table and the image vectors of the relabelings
+    that give it, ascending: ⟨gens⟩∘c for the relabeling c the descent ends
+    on and the automorphisms gens its last pass records."""
     n = table.order
     if n > _CANONICAL_CAP:
         raise UnsupportedOrderError(
             f"canonical form and automorphisms support order <= {_CANONICAL_CAP}, got {n}"
         )
-    # rows as translate tables: inv.translate(row) lists row[inv[0]], ...
-    left = [bytes(row).ljust(256, b"\0") for row in table.left]
-    right = [bytes(row).ljust(256, b"\0") for row in table.right]
-    row_e = left[table.identity]
-    partials = [_BYTE[table.identity]]
-    first = bytearray()
-    for y in range(n):
-        images = []
-        for part in partials:
-            free = range(n) if y == len(part) else ()
-            for inv in [part + _BYTE[u] for u in free if u not in part] or [part]:
-                raw = row_e[inv[y]]
-                lab = inv.find(raw)
-                if lab < 0:
-                    lab = len(inv)
-                    inv += _BYTE[raw]
-                images.append((lab, inv))
-        first.append(min(images)[0])
-        partials = [inv for lab, inv in images if lab == first[-1]]
-
-    # fwd translates each element to its label
-    ties = [(inv, bytes.maketrans(inv, bytes(range(n)))) for inv in partials]
-    rows = [bytes(first)]
-    for rows_of, x in [(left, x) for x in range(1, n)] + [(right, x) for x in range(n)]:
-        images = [(inv.translate(rows_of[inv[x]]).translate(fwd), inv, fwd) for inv, fwd in ties]
-        rows.append(min(images)[0])
-        ties = [(inv, fwd) for image, inv, fwd in images if image == rows[-1]]
-    return rows, [fwd[:n] for _, fwd in ties]
+    # members lists the elements in label order, the identity first
+    members = bytes(sorted(range(n), key=lambda x: x != table.identity))
+    while True:
+        image = _reindex(table, members)
+        val = [v for rows in (image.left, image.right) for row in rows for v in row]
+        gens = []
+        inv = _reads_below(*_first_partial(n)[1:], val, range(2 * n * n), _keys(n), n, gens)
+        if inv is None:
+            break
+        inv += bytes(u for u in range(n) if u not in inv)
+        members = bytes(members[i] for i in inv)
+    c = bytes.maketrans(members, bytes(range(n)))[:n]
+    ties, kept = {c}, []
+    for g in gens:
+        if c.translate(g) not in ties:  # g enlarges the group; close it again
+            kept.append(g)
+            _close(ties, lambda p: map(p.translate, kept))
+    return DigroupTable(n, 0, image.left, image.right), sorted(ties)
 
 
 def find_isomorphism(d1: DigroupTable, d2: DigroupTable) -> Optional[Mapping]:
@@ -277,7 +318,7 @@ def find_isomorphism(d1: DigroupTable, d2: DigroupTable) -> Optional[Mapping]:
 def automorphisms(table: DigroupTable) -> list[Mapping]:
     """All bijective self-homomorphisms, in lexicographic order: c⁻¹∘p for
     one relabeling c and each relabeling p that gives the canonical table."""
-    _, ties = _least_relabelings(table)
+    _, ties = _canonical_relabelings(table)
     n = table.order
     back = bytes.maketrans(ties[0], bytes(range(n)))
     return [Mapping(n, n, tuple(image)) for image in sorted(p.translate(back) for p in ties)]
@@ -299,7 +340,6 @@ def canonical_form(table: DigroupTable) -> CanonicalTable:
     equal.  Labels are dropped; the certificate recovers the relabeling, and
     among the relabelings that tie it is the least image vector.
     """
-    rows, ties = _least_relabelings(table)
+    canon, ties = _canonical_relabelings(table)
     n = table.order
-    canon = DigroupTable(n, 0, rows[:n], rows[n:])
-    return CanonicalTable(canon, Mapping(n, n, tuple(min(ties))))
+    return CanonicalTable(canon, Mapping(n, n, tuple(ties[0])))

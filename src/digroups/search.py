@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .morphisms import _first_partial, _lex_filter, canonical_form
+from .morphisms import _first_partial, _keys, _lex_filter, canonical_form
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
@@ -157,11 +157,10 @@ def _search_tables(n: int):
         if in2 != in1:
             watch[in2].append(idx)
 
-    # (table base, x, y) of each canonical-key position; the lex filter reads
-    # these instead of decoding the cell ids
-    bkeys = [(0, 0, y) for y in range(1, n)]
-    bkeys += [(0, x, y) for x in range(1, n) for y in range(1, n)]
-    bkeys += [(nn, x, y) for x in range(1, n) for y in range(1, n)]
+    # (table base, x, y) of each canonical-key position but the seeded cells,
+    # column e of both tables and row e of ↼; the lex filter reads these
+    # instead of decoding the cell ids
+    bkeys = [(base, x, y) for base, x, y in _keys(n) if y and not (base and x == 0)]
     bcells = [base + x * n + y for base, x, y in bkeys]
     # Bijection line of each cell: ⇀ column y is line y, ↼ row x is n + x.
     line = tuple(y for x in range(n) for y in range(n))

@@ -61,7 +61,7 @@ BUDGETS = [
     (["builtin", "Z200"], 0, 5, 128),  # 0.12 s
     (["enumerate", "6"], 0, 5, 128),  # 0.14 s
     (["claims"], 0, 5, 128),  # 0.14 s
-    (["iso", "trivial16.json", "z2_trivial8.json"], 1, 10, 128),  # 0.86 s
+    (["iso", "trivial16.json", "z2_trivial8.json"], 1, 10, 128),  # 0.15 s, cores of 1 and 2
     (["iso", "z2_trivial8.json", "trivial16.json"], 1, 10, 128),  # 0.15 s, cores of 2 and 1
     (["iso", "z2_trivial8.json", "trivial2_trivial8.json"], 1, 10, 128),  # 0.16 s, cores of 2 and 1
     (["iso", "trivial18.json", "z2_trivial9.json"], 2, 5, 128),  # 0.10 s, refused

@@ -409,8 +409,8 @@ def test_iso_found(tmp_path, n_file, capsys):
 
 
 def _family_files(tmp_path, k):
-    # trivial(2k) against Z2 x trivial(k): not isomorphic, and the slowest
-    # known family for find_isomorphism
+    # trivial(2k) against Z2 x trivial(k): not isomorphic, and their cores
+    # have 1 and 2 elements, so find_isomorphism settles them at once
     from digroups import direct_product
 
     paths = []

@@ -270,3 +270,45 @@ def test_engine_matches_oracles_when_every_relabeling_ties(n):
     table = DigroupTable(n, e, rows, rows)
     assert_engine_matches_oracles(table)
     assert len(automorphisms(table)) == math.factorial(n - 1)
+
+
+def test_automorphisms_match_the_oracle_at_order_8(reference_classes):
+    # every class of order 8 and one seeded relabeling of each that moves the
+    # identity off index 0; the groups found run up to 168 (Z2³) and 5,040
+    # (trivial(8)) elements
+    rng = random.Random(8)
+    sizes = set()
+    for entry in reference_classes:
+        if entry.order != 8:
+            continue
+        images = list(range(8))
+        while images[0] == 0:
+            rng.shuffle(images)
+        for table in (entry.canonical, relabel(entry.canonical, Mapping(8, 8, tuple(images)))):
+            autos = automorphisms(table)
+            assert autos == brute_force_automorphisms(table)
+            sizes.add(len(autos))
+    assert {168, 5040} <= sizes
+
+
+@pytest.mark.parametrize(
+    "name,image,branches",
+    [("trivial(8)", tuple(range(8)), 85), ("Z8", (3, 0, 7, 1, 6, 2, 5, 4), 7951)],
+)
+def test_canonical_form_branch_counts_are_pinned(name, image, branches, monkeypatch):
+    # canonical_form reaches its result only through the depth-first pass,
+    # once per descent round; the count of its branches over all rounds is
+    # the machine-independent measure of the walk
+    from digroups import morphisms
+
+    calls = 0
+    reads_below = morphisms._reads_below
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reads_below(*args)
+
+    monkeypatch.setattr(morphisms, "_reads_below", counted)
+    canonical_form(relabel(builtin(name), Mapping(8, 8, image)))
+    assert calls == branches
