@@ -43,7 +43,10 @@ strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
 unit constraints outright, keeps the valid ones equal to their canonical_form,
-and must produce the identical class list.
+and must produce the identical class list.  It first asks the validator
+whether a ⇀ table alone breaks DIASSOC_1, x⇀(y⇀z) = (x⇀y)⇀z, and if so skips
+every ↼ table beside it: that law reads no ↼ cell, so each such pair breaks
+it too and no digroup is lost.  At order 3 only 18 of the 729 ⇀ tables pass.
 """
 
 from __future__ import annotations
@@ -349,7 +352,10 @@ def naive_enumerate(n: int) -> list[CatalogEntry]:
     constraints, check each against the axioms until its first broken law,
     and keep each one that passes and equals its canonical_form.  The
     candidates run in canonical-key order, so the output matches
-    enumerate_digroups exactly."""
+    enumerate_digroups exactly.
+
+    A ⇀ table that breaks DIASSOC_1 on its own is skipped with all its ↼
+    tables: DIASSOC_1 reads only ⇀, so every such pair breaks it."""
     if n > _NAIVE_CAP:
         raise UnsupportedOrderError(f"naive enumeration supports order <= {_NAIVE_CAP}")
     if n < 1:
@@ -363,6 +369,8 @@ def naive_enumerate(n: int) -> list[CatalogEntry]:
     unit = bytes(range(n))
     solutions = []
     for left in itertools.product(*rows):
+        if _breaks_diassoc_1(left):
+            continue
         for tail in itertools.product(*map(rows.__getitem__, left[0][1:])):
             right = (unit,) + tail
             if next(_violations(0, left, right), None) is None:
@@ -370,6 +378,12 @@ def naive_enumerate(n: int) -> list[CatalogEntry]:
                 if canonical_form(table).table == table:
                     solutions.append((table.left, table.right))
     return _entries_from_solutions(n, solutions)
+
+
+def _breaks_diassoc_1(left: tuple[bytes, ...]) -> bool:
+    """Whether the ⇀ rows alone break DIASSOC_1, decided by the validator
+    with ⇀ standing in for ↼, which that law never reads."""
+    return any(k == 0 for k, _ in _violations(0, left, left))
 
 
 def count_by_class(entries: list[CatalogEntry]) -> dict[str, int]:

@@ -60,6 +60,7 @@ BUDGETS = [
     (["triple", "build", "z200_triple.json"], 2, 5, 128),  # 0.18 s, product 40,000 refused
     (["builtin", "Z200"], 0, 5, 128),  # 0.12 s
     (["enumerate", "6"], 0, 5, 128),  # 0.14 s
+    (["enumerate", "3", "--naive"], 0, 5, 128),  # 0.14 s, 2,187 validator calls
     (["claims"], 0, 5, 128),  # 0.14 s
     (["iso", "trivial16.json", "z2_trivial8.json"], 1, 10, 128),  # 0.15 s, cores of 1 and 2
     (["iso", "z2_trivial8.json", "trivial16.json"], 1, 10, 128),  # 0.15 s, cores of 2 and 1

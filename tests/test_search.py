@@ -93,6 +93,54 @@ def test_naive_oracle_agrees(n, catalogs):
     assert [e.canonical for e in naive] == [e.canonical for e in catalogs[n]]
 
 
+def _unit_consistent_pairs(n):
+    """Every unit-consistent table pair of order n, as each ⇀ table
+    with the list of its ↼ tables: column e of ⇀ and row e of ↼ are the
+    identity, column e of ↼ repeats row e of ⇀."""
+    import itertools
+
+    tails = list(itertools.product(range(n), repeat=n - 1))
+    rows = [[bytes((v,) + t) for t in tails] for v in range(n)]
+    for left in itertools.product(*rows):
+        yield left, [
+            (bytes(range(n)),) + tail
+            for tail in itertools.product(*(rows[v] for v in left[0][1:]))
+        ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_naive_skip_loses_no_digroup(n):
+    # the full scan of every unit-consistent pair is the oracle of the
+    # shortened one: every pair the validator passes has a ⇀ table that the
+    # skip test lets through
+    from digroups.search import _breaks_diassoc_1
+    from digroups.tables import _violations
+
+    scanned = 0
+    for left, rights in _unit_consistent_pairs(n):
+        scanned += len(rights)
+        if any(next(_violations(0, left, right), None) is None for right in rights):
+            assert not _breaks_diassoc_1(left)
+    assert scanned == n ** ((n - 1) * (2 * n - 1))  # the free cells of both tables
+
+
+@pytest.mark.parametrize("n, calls", [(1, 2), (2, 10), (3, 2187)])
+def test_naive_engine_calls_are_pinned(n, calls, monkeypatch):
+    # one validator call per ⇀ table and one per pair beside an associative
+    # ⇀; the full scan made 1, 8 and 59,049
+    from digroups import search
+
+    engine, made = search._violations, []
+
+    def counting(*args):
+        made.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(search, "_violations", counting)
+    naive_enumerate(n)
+    assert len(made) == calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_classes_match_derived_ground_truth(n, catalogs):
     assert_matches_representatives(catalogs[n], expected_representatives(n))
