@@ -8,63 +8,85 @@ table then the right table row-major) over all bijections sending the
 identity to index 0; it is exact, not hash-based, so equal canonical tables
 characterize isomorphism.
 
-One walker enumerates the relabelings for canonical_form, automorphisms and
-the search's lex cut; the walk never lists all (n-1)! of them.  A partial
-relabeling holds the elements labelled 0, 1, ... as bytes, the identity
-first, and labels go out in the order the key reads its cells: cell (0, y)
-of row e of ⇀ branches over the unlabelled elements while label y is free,
-and a value with no label takes the next free one, since no completion
-labels it lower and any that labels it higher reads higher there.  The
-partials are whole relabelings once row e of ⇀ is read.  The key (_keys) is
-every cell, ⇀ then ↼, row-major; the search's leaves out the cells it
-seeds.  The search drives the partials against its open table, breadth
-first (_lex_filter).
+One walker, _reads_below, serves canonical_form, automorphisms and the
+search's lex cut.  It walks the key depth first from the root and keeps
+nothing between calls.  The key (_keys) is every cell, ⇀ then ↼, row-major;
+the search's leaves out the cells it seeds.  A node of the walk pins some
+labels: fwd gives each pinned element its label and inv each pinned label
+its element, and the root pins only the identity 0 to label 0.  The node
+stands for every identity-fixing relabeling p that agrees with its pins;
+these give the unpinned elements F the free labels in every bijection.  All
+of them tie the table T before the node's key position.  At key cell (x, y)
+of table t, whose current value is cur (a cell T does not know yet stops the
+node, since nothing in it can be compared there), the image of p is
+p(t[p⁻¹x][p⁻¹y]), and the walk takes one of three steps.
 
-On a complete table T, _reads_below asks whether some relabeling reads
-below T and answers from the root, depth first, pruned with automorphisms as
-nauty prunes (McKay and Piperno 2014).  A relabeling that ties T to the end
-maps T to T, so it is an automorphism; it is recorded.  At a branch point
-with labelled prefix inv, once child t is refuted (no completion in its
-branch reads below T), a sibling u is skipped if some automorphism α
-recorded so far, or a product of them, fixes inv pointwise and sends t to u.
-This is sound: for every relabeling σ′ in the u branch, σ′∘α gives the same
-image, since α(T) = T, and σ′∘α labels inv as σ′ does and t as σ′ labels u,
-so it lies in the t branch, where no image reads below T.  The key cells are
-the same set under every identity-fixing relabeling, so this holds for the
-search's key alone.  Nothing like it holds for a partial table, whose ties
-need not be automorphisms of its completions; so the search runs the pass
-only on complete tables, and only when some tied partial is not yet whole:
-when all are whole, as on groups, whose row e of ⇀ ties every relabeling, no
-branch is left to prune and _lex_filter walks them as before.
+- Uniform image.  The candidates are the pairs (p⁻¹x, p⁻¹y) over the node:
+  a pinned label gives its element, a free one any element of F, two free
+  labels x ≠ y distinct elements and x = y one.  A candidate whose value is
+  pinned gives that value's label, and one whose value is its own unpinned
+  operand gives that operand's label, x or y, whatever p is.  If every
+  candidate gives one label so, every relabeling of the node gives it, and
+  the node compares it with cur without branching.  Row e of ⇀ on a group
+  (e⇀u = u) and every cell of trivial(n) are read so.
+- Least free label.  If x and y are pinned and the value v is not, every
+  relabeling of the node gives v a free label, none lower than the least
+  free label L.  If L < cur, those that label v with L read below; if
+  L = cur, those that label v higher read above; if L > cur, all read
+  above.  So the node pins v to L when L <= cur and compares L with cur.
+- Branch.  Otherwise the relabelings differ at the cell, or some candidate
+  reads a cell T does not know yet, and the node branches: it pins x if x is
+  free, else y, to each element of F in turn.  A child is visited only if one
+  of its candidates may read cur or below there: one whose value is unknown
+  stops there, and one whose image, or L if that depends on p, is above cur
+  reads above.  So an unknown cell stops only the relabelings that read it.
+
+A node that reads below returns its pins; all its relabelings tie T before
+that cell and read below it there.  _reads_below returns None exactly when no
+identity-fixing relabeling reads below T at its first decided cell.
+
+A node that ties T to the end of the key has read every key cell, so T is
+complete, and each relabeling of the node maps T to T: it is an
+automorphism.  No node gets there on a partial table, whose ties need not be
+automorphisms of its completions, so nothing is recorded there.  The node
+records p0, which gives F the free labels in ascending order, and, since
+p0∘π lies in the node for each permutation π of F, also π = p0⁻¹∘(p0∘π):
+one transposition and one |F|-cycle of F, which generate Sym(F).  At a
+branch point with pinned elements P, once child t is refuted (no relabeling
+in its branch reads below T), a sibling u is skipped if some product α of
+recorded automorphisms that fix P pointwise sends t to u, as nauty prunes
+(McKay and Piperno 2014).  This is sound: for every relabeling σ′ in the u
+branch, σ′∘α gives the same image, since α(T) = T, and σ′∘α labels P as σ′
+does and t as σ′ labels u, so it lies in the t branch, where no image reads
+below T.  The key cells are the same set under every identity-fixing
+relabeling, so this holds for the search's key alone.
 
 When a pass finds nothing below T, the automorphisms it recorded generate
-Aut(T), the group of relabelings that tie T.  Call a node of the pass
-explored if _reads_below ran on it; since nothing reads below T, each
-explored node ran to its end.  Claim: every σ in Aut(T) that labels an
-explored node's prefix as the node does lies in the group G that the
-recorded automorphisms generate.  By induction on the key positions left.
-σ ties T, so at each of the node's cells that labels a new value, σ labels
-it alike, and σ keeps agreeing with the node to where the node stops.  If
-the node reads above T there, no σ agrees with it.  If it reaches the end
-of the key, it is whole and ties T, so it is σ, and σ was recorded.
-Otherwise it branches on a prefix inv, and σ gives the free label to some
-unlabelled u.  If the u child was explored, σ ∈ G by induction.  If u was
-skipped, a product β of recorded automorphisms fixing inv pointwise sends an
-explored child t to u; then σ∘β is in Aut(T), labels inv as σ does and t as
-σ labels u, so σ∘β ∈ G by induction, and σ ∈ G.  Every σ in Aut(T) fixes
-the identity and agrees with the root, so G = Aut(T).
+Aut(T), the group of relabelings that tie T.  Call a node explored if
+_reads_below ran on it; since nothing reads below T, each explored node ran
+to its end.  Claim: every σ in Aut(T) that agrees with an explored node's
+pins lies in the group G that the recorded automorphisms generate.  By
+induction on the key positions left.  σ ties T, so at a least-free-label
+cell it labels v with cur, as the node pins it, and σ keeps agreeing with
+the node to where the node stops.  If the node reads above T there, no σ
+agrees with it.  If it reaches the end of the key, σ = p0∘π for a
+permutation π of F, and σ ∈ G.  Otherwise it branches on label ℓ, and σ
+gives ℓ to some u in F.  A child that the filter drops reads above T at the
+cell (T is complete, so no value is unknown), so σ is not in it.  If the u
+child was explored, σ ∈ G by induction.  If u was skipped, a product β of
+recorded automorphisms fixing P pointwise sends an explored child t to u;
+then σ∘β is in Aut(T), labels P as σ does and t as σ labels u, so σ∘β ∈ G
+by induction, and σ ∈ G.  Every σ in Aut(T) fixes the identity and agrees
+with the root, so G = Aut(T).
 
-canonical_form and automorphisms descend with the same pass over the full
+canonical_form and automorphisms descend with the same walker over the full
 key.  From the table re-indexed with e first, while _reads_below returns a
-partial whose image reads below the current image, the partial is completed
-with the unlabelled elements in ascending order and the table is re-indexed
-to that image.  The partial labels every element that its last cell reads,
-the value too, so every completion ties before that cell and reads below at
-it: the images strictly decrease, and the descent ends at an image that no
-relabeling reads below, the canonical table.  If c is the relabeling that
-gives it and G the group of the last pass, the relabelings that give it are
-G∘c, the automorphisms of the table are c⁻¹∘G∘c, and the certificate is the
-least element of G∘c.
+node, the table is re-indexed to the image of the node's p0, which reads
+below the current image: the images strictly decrease, and the descent ends
+at an image that no relabeling reads below, the canonical table.  If c is the
+relabeling that gives it and G the group of the last pass, the relabelings
+that give it are G∘c, the automorphisms of the table are c⁻¹∘G∘c, and the
+certificate is the least element of G∘c.
 """
 
 from __future__ import annotations
@@ -75,10 +97,10 @@ from typing import Optional
 
 from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError, _reindex
 
-# A group ties every relabeling through row e of ⇀ before any automorphism is
-# known, so the walk meets up to (n-1)! whole relabelings (Z10 takes 2 s), and
-# the relabelings that give the canonical table are listed: (n-1)! of them on
-# trivial(n), 5040 at order 8.
+# The walk itself reads trivial(n) and a group's row e without branching, but
+# _canonical_relabelings closes the group G of the last pass as a set, the
+# relabelings that give the canonical table: (n-1)! of them on trivial(n),
+# 5,040 at order 8.
 _CANONICAL_CAP = 8
 
 _FREE = 255
@@ -116,116 +138,116 @@ def _keys(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((base, x, y) for base in (0, n * n) for x in range(n) for y in range(n))
 
 
-def _first_partial(n: int):
-    """The partial relabeling _lex_filter starts from: e = 0 labelled 0."""
-    return (0, _BYTE[0], _BYTE[0] + bytes([_FREE]) * (n - 1), 0)
+def _reads_below(val, cells, keys, n, autos, pos=0, fwd=None, inv=None):
+    """A node whose relabelings all read below the table val at the last key
+    cell it reads, returned as its pins fwd, or None if no relabeling reads
+    below, found depth first from the node (fwd, inv) at key position pos,
+    by default the root, where only the identity 0 has a label.
 
-
-def _lex_filter(active, val, cells, keys, n):
-    """Advance partial relabelings (wait, inv, fwd, pos) against a partly
-    known table and return those still tied with it, or None if an image
-    reads below it: then no completion of the table is lex-least.
-
-    val is the table flattened ⇀ then ↼ (-1 for unknown); key position pos
-    reads cell cells[pos] = base + x*n + y for keys[pos] = (base, x, y).  fwd
-    holds each element's label or _FREE.  A partial ties val before pos, and
-    is skipped while wait, the unknown cell that stopped it (0 if none), is.
-
-    Once every key cell is known and some partial is not yet whole, the
-    answer comes from the root with automorphism pruning (_reads_below), and
-    [] stands for "none reads below"."""
-    m = len(cells)
-    if min(map(val.__getitem__, cells), default=0) >= 0 and any(
-        len(item[1]) < n for item in active
-    ):
-        return None if _reads_below(*_first_partial(n)[1:], val, cells, keys, n, []) else []
-    out = []
-    keep = out.append
-    while active:
-        branched = []
-        for item in active:
-            if val[item[0]] < 0:
-                keep(item)
-                continue
-            _, inv, fwd, pos = item
-            while pos < m:
-                wait = cells[pos]
-                cur = val[wait]
-                if cur < 0:
-                    break
-                base, x, y = keys[pos]
-                try:
-                    wait = base + inv[x] * n + inv[y]
-                except IndexError:  # label y is free
-                    for u in range(n):
-                        if fwd[u] == _FREE:
-                            child = fwd[:u] + _BYTE[y] + fwd[u + 1 :]
-                            branched.append((0, inv + _BYTE[u], child, pos))
-                    break
-                raw = val[wait]
-                if raw < 0:
-                    break
-                img = fwd[raw]
-                if img != cur:
-                    if img == _FREE:
-                        img = len(inv)
-                        if img == cur:
-                            inv += _BYTE[raw]
-                            fwd = fwd[:raw] + _BYTE[img] + fwd[raw + 1 :]
-                            pos += 1
-                            continue
-                    if img < cur:
-                        return None
-                    break
-                pos += 1
-            else:
-                keep((0, inv, fwd, pos))
-                continue
-            if val[wait] < 0:
-                keep((wait, inv, fwd, pos))
-        active = branched
-    return out
-
-
-def _reads_below(inv, fwd, pos, val, cells, keys, n, autos):
-    """An extension of the partial (inv, fwd, pos) whose image reads below
-    the complete table val at the last key cell it reads, or None if none
-    does, found depth first; it labels every element that cell reads, its
-    value too.  Each relabeling that ties val to the end is an automorphism
-    and goes on autos as its 256-byte translate table.  Siblings in the orbit
-    of the refuted children under the automorphisms fixing inv pointwise are
-    skipped (see the module docstring)."""
+    val is the table flattened ⇀ then ↼ (-1 for unknown), and key position
+    pos reads cell cells[pos] = base + x*n + y for keys[pos] = (base, x, y).
+    fwd holds each element's label and inv each label's element, _FREE where
+    unpinned.  Once val ties to the end, the node's relabelings are
+    automorphisms, and autos gets one of them, a transposition and a cycle of
+    the unpinned elements, each as a 256-byte translate table.  Siblings in
+    the orbit of the refuted children under the automorphisms fixing every
+    pinned element are skipped (see the module docstring)."""
+    if fwd is None:
+        fwd = inv = _BYTE[0] + bytes([_FREE]) * (n - 1)
     m = len(cells)
     while pos < m:
-        base, x, y = keys[pos]
-        if y >= len(inv):  # label y is free: branch
-            break
         cur = val[cells[pos]]
-        raw = val[base + inv[x] * n + inv[y]]
-        img = fwd[raw]
-        if img == _FREE:
-            img = len(inv)
-            if img <= cur:
-                inv += _BYTE[raw]
-                fwd = fwd[:raw] + _BYTE[img] + fwd[raw + 1 :]
+        if cur < 0:
+            return None
+        base, x, y = keys[pos]
+        r, c = inv[x], inv[y]
+        if r == _FREE or c == _FREE:
+            img, live = _image(val, base, x, y, r, c, fwd, inv, cur, n)
+            if img < 0:  # the node's relabelings differ here: branch
+                break
+        else:
+            raw = val[base + r * n + c]
+            if raw < 0:
+                return None
+            img = fwd[raw]
+            if img == _FREE:  # the least free label
+                img = inv.index(_FREE)
+                if img <= cur:
+                    fwd, inv = _pin(fwd, inv, raw, img)
         if img != cur:
-            return inv if img < cur else None
+            return fwd if img < cur else None
         pos += 1
     else:
-        autos.append(fwd.ljust(256, b"\0"))
+        _record(fwd, autos)
         return None
+    label = x if r == _FREE else y
     refuted = set()
-    for u in range(n):
-        if fwd[u] != _FREE or u in refuted:
+    for u in live:
+        if u in refuted:
             continue
-        child = fwd[:u] + _BYTE[y] + fwd[u + 1 :]
-        below = _reads_below(inv + _BYTE[u], child, pos, val, cells, keys, n, autos)
+        below = _reads_below(val, cells, keys, n, autos, pos, *_pin(fwd, inv, u, label))
         if below is not None:
             return below
-        gens = [a for a in autos if inv.translate(a) == inv]
         refuted.add(u)
-        _close(refuted, lambda w: [a[w] for a in gens])
+        gens = [a for a in autos if inv.translate(a) == inv]
+        if gens:
+            _close(refuted, lambda w: [a[w] for a in gens])
     return None
+
+
+def _image(val, base, x, y, r, c, fwd, inv, cur, n):
+    """The label that every relabeling of the node gives key cell (base, x,
+    y), whose row and column elements are r and c, _FREE where unpinned, or
+    -1 if two of them differ there or one reads an unknown cell; and the
+    unpinned elements that the row label, if it is free, else the column
+    label, may take in a relabeling that reads cur or below there."""
+    free = [u for u in range(n) if fwd[u] == _FREE]
+    least = inv.index(_FREE)
+    images, live = set(), {}
+    for u in free if r == _FREE else (r,):
+        for w in free if c == _FREE else (c,):
+            if (u == w) != (x == y):
+                continue
+            raw = val[base + u * n + w]
+            if raw < 0:
+                images.add(-1)
+                continue
+            img = fwd[raw]
+            if img == _FREE:  # an unpinned value is uniform only as an operand
+                img = x if raw == u else y if raw == w else -1
+            images.add(img)
+            if (least if img < 0 else img) <= cur:
+                live[u if r == _FREE else w] = None
+    return (images.pop() if len(images) == 1 else -1), live
+
+
+def _pin(fwd, inv, u, label):
+    """The pins with element u labelled label."""
+    return fwd[:u] + _BYTE[label] + fwd[u + 1 :], inv[:label] + _BYTE[u] + inv[label + 1 :]
+
+
+def _complete(fwd):
+    """The relabeling that gives the unpinned elements the free labels in
+    ascending order."""
+    labels = iter(sorted(set(range(len(fwd))).difference(fwd)))
+    return bytes(next(labels) if v == _FREE else v for v in fwd)
+
+
+def _record(fwd, autos):
+    """Put on autos the relabelings of a node that ties to the end: one of
+    them and, since each permutation of the unpinned elements F is then an
+    automorphism, one transposition and one |F|-cycle of F, which generate
+    Sym(F).  Each is a translate table that fixes _FREE, so inv.translate(a)
+    == inv asks whether a fixes every pinned element."""
+    tail = bytes(range(len(fwd), 256))
+    autos.append(_complete(fwd) + tail)
+    free = [u for u, v in enumerate(fwd) if v == _FREE]
+    if len(free) > 1:
+        swap, cycle = bytearray(range(len(fwd))), bytearray(range(len(fwd)))
+        swap[free[0]], swap[free[1]] = free[1], free[0]
+        for u, w in zip(free, free[1:] + free[:1]):
+            cycle[u] = w
+        autos.extend((bytes(swap) + tail, bytes(cycle) + tail))
 
 
 def _close(found: set, step) -> None:
@@ -254,11 +276,10 @@ def _canonical_relabelings(table: DigroupTable) -> tuple[DigroupTable, list[byte
         image = _reindex(table, members)
         val = [v for rows in (image.left, image.right) for row in rows for v in row]
         gens = []
-        inv = _reads_below(*_first_partial(n)[1:], val, range(2 * n * n), _keys(n), n, gens)
-        if inv is None:
+        below = _reads_below(val, range(2 * n * n), _keys(n), n, gens)
+        if below is None:
             break
-        inv += bytes(u for u in range(n) if u not in inv)
-        members = bytes(members[i] for i in inv)
+        members = bytes(m for _, m in sorted(zip(_complete(below), members)))
     c = bytes.maketrans(members, bytes(range(n)))[:n]
     ties, kept = {c}, []
     for g in gens:

@@ -31,15 +31,16 @@ x.  _entries_from_solutions still re-validates every emitted table.
 
 The seeded cells agree with their image under every identity-fixing
 relabeling, so comparing the open cells in canonical-key order is comparing
-whole flattened tables.  The relabelings are morphisms' partial ones, each
-standing for all its completions.  At a leaf every cell is known and every
-relabeling has been compared in full, so a table is emitted exactly when it
-is the lex-least member of its class, its own canonical form: one table per
-class and no dedup pass (orderly generation, McKay 1998).  On a complete
-table the cut prunes with the automorphisms it finds; the morphisms module
-docstring proves that sound.  Since the search branches on the first open
-cell in key order and tries values in ascending order, the tables come out
-strictly increasing.
+whole flattened tables.  After each assignment the cut asks morphisms'
+walker, from the root, whether some relabeling reads below the partial table
+at its first decided cell; nothing is kept from one search node to the next.
+At a leaf every cell is known and every relabeling has been compared in
+full, so a table is emitted exactly when it is the lex-least member of its
+class, its own canonical form: one table per class and no dedup pass
+(orderly generation, McKay 1998).  On a complete table the walk prunes with
+the automorphisms it finds; the morphisms module docstring proves that
+sound.  Since the search branches on the first open cell in key order and
+tries values in ascending order, the tables come out strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
 unit constraints outright, keeps the valid ones equal to their canonical_form,
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .morphisms import _first_partial, _keys, _lex_filter, canonical_form
+from .morphisms import _keys, _reads_below, canonical_form
 from .subdigroups import all_subdigroups
 from .tables import (
     ConstructionError,
@@ -161,7 +162,7 @@ def _search_tables(n: int):
             watch[in2].append(idx)
 
     # (table base, x, y) of each canonical-key position but the seeded cells,
-    # column e of both tables and row e of ↼; the lex filter reads these
+    # column e of both tables and row e of ↼; the lex cut reads these
     # instead of decoding the cell ids
     bkeys = [(base, x, y) for base, x, y in _keys(n) if y and not (base and x == 0)]
     bcells = [base + x * n + y for base, x, y in bkeys]
@@ -285,11 +286,11 @@ class _Search:
         # No root check: the first branching cell e⇀1 is still open after
         # seeding (it is 1 in Z_n and e in the trivial digroup), so no
         # relabeling can compare yet.
-        self._dfs(0, [_first_partial(self.n)])
+        self._dfs(0)
         return self.solutions
 
-    def _dfs(self, bpos: int, active) -> None:
-        bcells = self.bcells
+    def _dfs(self, bpos: int) -> None:
+        bcells, bkeys = self.bcells, self.bkeys
         m = len(bcells)
         while bpos < m and self.val[bcells[bpos]] != -1:
             bpos += 1
@@ -299,10 +300,8 @@ class _Search:
         cell = bcells[bpos]
         for v in range(self.n):
             mark = len(self.trail)
-            if self._try(cell, v):
-                new_active = _lex_filter(active, self.val, bcells, self.bkeys, self.n)
-                if new_active is not None:
-                    self._dfs(bpos + 1, new_active)
+            if self._try(cell, v) and _reads_below(self.val, bcells, bkeys, self.n, []) is None:
+                self._dfs(bpos + 1)
             self._undo(mark)
 
 

@@ -211,7 +211,7 @@ def test_unpruned_search_matches_orbit_stabilizer_counts(
     from digroups import DigroupTable, automorphisms
     from digroups.search import _Search
 
-    monkeypatch.setattr("digroups.search._lex_filter", lambda active, *table: active)
+    monkeypatch.setattr("digroups.search._reads_below", lambda *table: None)
     solutions = _Search(n).run()
     assert len(solutions) == labeled
     assert len(set(solutions)) == labeled
@@ -335,8 +335,8 @@ def test_out_of_order_solutions_are_rejected():
         _entries_from_solutions(2, ordered[:1] * 2)
 
 
-def test_lex_filter_cuts_where_a_whole_relabeling_reads_below():
-    # The partial relabelings must cut exactly when one of the (n-1)!
+def test_lex_cut_from_the_root_cuts_where_a_whole_relabeling_reads_below():
+    # The walk from the root must cut exactly when one of the (n-1)!
     # identity-fixing relabelings, compared one by one along the key, reads
     # below the table at its first decided cell.  The unit cells are seeded
     # as the search seeds them; the others are revealed one at a time, in a
@@ -344,7 +344,7 @@ def test_lex_filter_cuts_where_a_whole_relabeling_reads_below():
     import itertools
     import random
 
-    from digroups.morphisms import _first_partial, _lex_filter
+    from digroups.morphisms import _reads_below
     from digroups.search import _search_tables
 
     def some_image_below(val, n, bcells, bkeys):
@@ -366,26 +366,25 @@ def test_lex_filter_cuts_where_a_whole_relabeling_reads_below():
         val = [-1] * (2 * n * n)
         for x in range(n):
             val[x * n] = val[n * n + x] = x  # x⇀e = x and e↼x = x
-        active = [_first_partial(n)]
         cells = [c for c, v in enumerate(val) if v < 0]
         rng.shuffle(cells)
         for cell in cells:
             val[cell] = rng.randrange(n) if rng.random() < 0.8 else rng.randrange(2)
-            active = _lex_filter(active, val, bcells, bkeys, n)
-            assert (active is None) == some_image_below(val, n, bcells, bkeys)
-            if active is None:
+            below = _reads_below(val, bcells, bkeys, n, []) is not None
+            assert below == some_image_below(val, n, bcells, bkeys)
+            if below:
                 break
 
 
 def _complete_table_reads_below(table):
-    # the search's lex cut on a complete table, from the first partial
-    from digroups.morphisms import _first_partial, _lex_filter
+    # the search's lex cut on a complete table, from the root
+    from digroups.morphisms import _reads_below
     from digroups.search import _search_tables
 
     n = table.order
     _, _, bcells, bkeys, _ = _search_tables(n)
     val = [v for rows in (table.left, table.right) for row in rows for v in row]
-    return _lex_filter([_first_partial(n)], val, bcells, bkeys, n) is None
+    return _reads_below(val, bcells, bkeys, n, []) is not None
 
 
 def test_complete_table_decision_matches_brute_force(reference_classes):
@@ -421,11 +420,21 @@ def test_complete_table_decision_matches_brute_force(reference_classes):
     assert {below for below, _ in verdicts} == {True, False}
 
 
-@pytest.mark.parametrize("n,branches", [(8, 85), (9, 121), (10, 166)])
-def test_complete_table_pruning_counts_are_pinned(n, branches, monkeypatch):
-    # Every relabeling of trivial(n) is an automorphism, so without pruning
-    # the complete-table check walks all (n-1)! of them.  The count of
-    # depth-first branches is the machine-independent measure of the pruning.
+@pytest.mark.parametrize(
+    "name,below,branches",
+    [
+        ("trivial(8)", False, 1),
+        ("trivial(9)", False, 1),
+        ("trivial(10)", False, 1),
+        ("Z9", True, 4),
+    ],
+)
+def test_complete_table_pruning_counts_are_pinned(name, below, branches, monkeypatch):
+    # Every relabeling of trivial(n) is an automorphism, and a group's row e
+    # of ⇀ ties every relabeling, so a walk that listed relabelings would
+    # meet (n-1)! of them.  Deferred labels compare such cells without
+    # branching.  The count of depth-first branches is the machine-independent
+    # measure of the walk.
     import math
 
     from digroups import morphisms
@@ -439,9 +448,10 @@ def test_complete_table_pruning_counts_are_pinned(n, branches, monkeypatch):
         return reads_below(*args)
 
     monkeypatch.setattr(morphisms, "_reads_below", counted)
-    assert not _complete_table_reads_below(trivial_digroup(n))
+    table = builtin(name)
+    assert _complete_table_reads_below(table) == below
     assert calls == branches
-    assert calls < math.factorial(n - 1) // 50
+    assert calls < math.factorial(table.order - 1) // 50
 
 
 def test_instance_encoding_matches_axiom_checker():
