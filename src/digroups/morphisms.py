@@ -95,7 +95,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError, _reindex
+from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError
+from .tables import _close, _reindex
 
 # The walk itself reads trivial(n) and a group's row e without branching, but
 # _canonical_relabelings closes the group G of the last pass as a set, the
@@ -250,17 +251,6 @@ def _record(fwd, autos):
         autos.extend((bytes(swap) + tail, bytes(cycle) + tail))
 
 
-def _close(found: set, step) -> None:
-    """Add to found every value that step, which maps a value to an iterable
-    of its images, reaches from a member."""
-    stack = list(found)
-    while stack:
-        for v in step(stack.pop()):
-            if v not in found:
-                found.add(v)
-                stack.append(v)
-
-
 def _canonical_relabelings(table: DigroupTable) -> tuple[DigroupTable, list[bytes]]:
     """The least image of the table and the image vectors of the relabelings
     that give it, ascending: ⟨gens⟩∘c for the relabeling c the descent ends
@@ -281,11 +271,8 @@ def _canonical_relabelings(table: DigroupTable) -> tuple[DigroupTable, list[byte
             break
         members = bytes(m for _, m in sorted(zip(_complete(below), members)))
     c = bytes.maketrans(members, bytes(range(n)))[:n]
-    ties, kept = {c}, []
-    for g in gens:
-        if c.translate(g) not in ties:  # g enlarges the group; close it again
-            kept.append(g)
-            _close(ties, lambda p: map(p.translate, kept))
+    ties = {c}
+    _close(ties, lambda p: map(p.translate, gens))
     return DigroupTable(n, 0, image.left, image.right), sorted(ties)
 
 

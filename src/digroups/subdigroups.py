@@ -8,7 +8,12 @@ agreement is a checkable theorem, not a definition:
         Liu inverses of H,
   (iii) H nonempty, closed under both products and under ambient Liu inverses.
 
-Liu inverses in (ii) and (iii) are always taken in the ambient digroup.
+Liu inverses in (ii) and (iii) are always taken in the ambient digroup, from
+liu_inverse_map, whose scan is the validator's own.  generated_subdigroup is
+the closure operator of (iii): the package's one worklist closure, _close,
+run from seed ∪ {e} under the Liu inverse and both products.  Its closed sets
+are exactly the subdigroups, so they can be listed through it one closure at
+a time, as NextClosure does (Ganter 1984).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .tables import (
     Element,
     MalformedTableError,
     UnsupportedOrderError,
+    _close,
     _reindex,
     liu_inverse_map,
     validate_digroup,
@@ -125,26 +131,13 @@ def subdigroup_criteria(table: DigroupTable, subset) -> tuple[bool, bool, bool]:
 def generated_subdigroup(table: DigroupTable, seed) -> SubsetMask:
     """Smallest subdigroup containing the seed set: the closure of
     seed ∪ {e} under both products and Liu inverses."""
-    liu = liu_inverse_map(table)
-    closure = set(_members(table, seed))
-    closure.add(table.identity)
-    frontier = list(closure)
-    while frontier:
-        a = frontier.pop()
-        candidates = [liu(a)]
-        for b in list(closure):
-            candidates.extend(
-                (
-                    table.left[a][b],
-                    table.left[b][a],
-                    table.right[a][b],
-                    table.right[b][a],
-                )
-            )
-        for c in candidates:
-            if c not in closure:
-                closure.add(c)
-                frontier.append(c)
+    liu, left, right = liu_inverse_map(table), table.left, table.right
+    closure = set(_members(table, seed)) | {table.identity}
+    _close(
+        closure,
+        lambda a: [liu(a)]
+        + [p for b in closure for p in (left[a][b], left[b][a], right[a][b], right[b][a])],
+    )
     return SubsetMask.of(table.order, closure)
 
 

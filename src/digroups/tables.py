@@ -144,20 +144,21 @@ class Violation:
     rhs: Optional[Element] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-        if self.ok != (not self.violations):
-            raise MalformedTableError("ok flag must match emptiness of violations")
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __repr__(self) -> str:
+        # ok is derived, but printed and digested reports name it
+        return f"ValidationReport(ok={self.ok}, violations={self.violations!r})"
 
     @staticmethod
-    def from_violations(violations: Sequence[Violation]) -> "ValidationReport":
-        vs = tuple(violations)
-        return ValidationReport(ok=not vs, violations=vs)
+    def from_violations(violations: Iterable[Violation]) -> "ValidationReport":
+        return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,34 @@ def _first_difference(a: bytes, b: bytes) -> int:
     return len(a) - 1 - (bits.bit_length() - 1) // 8
 
 
+def _liu_inverses(e: Element, left: Sequence, right: Sequence) -> list[Element]:
+    """For each x the first y with x↼y = e and y⇀x = e, or -1 if there is
+    none.  Rows may be byte strings or tuples; index finds each e in row x of
+    ↼, so the scan visits no cell of that row one by one."""
+    inverses = []
+    for x, row in enumerate(right):
+        try:
+            y = row.index(e)
+            while left[y][x] != e:
+                y = row.index(e, y + 1)
+        except ValueError:
+            y = -1
+        inverses.append(y)
+    return inverses
+
+
+def _close(found: set, step) -> None:
+    """Add to found every value that step, which maps a value to an iterable
+    of its images, reaches from a member.  step may read found, which grows
+    as the closure runs, but must not return a lazy view of it."""
+    stack = list(found)
+    while stack:
+        for v in step(stack.pop()):
+            if v not in found:
+                found.add(v)
+                stack.append(v)
+
+
 def _violations(
     e: Element, left: Sequence[bytes], right: Sequence[bytes]
 ) -> Iterator[tuple[int, Violation]]:
@@ -255,13 +284,9 @@ def _violations(
     order, so the first x that breaks a law holds its first witness.
     """
     n = len(left)
-    for x, row in enumerate(right):
-        y = row.find(e)
-        while y >= 0 and left[y][x] != e:
-            y = row.find(e, y + 1)
-        if y < 0:
-            yield 8, Violation(INVERSE_MISSING, (x,))
-            break
+    inverses = _liu_inverses(e, left, right)
+    if -1 in inverses:
+        yield 8, Violation(INVERSE_MISSING, (inverses.index(-1),))
     ident = bytes(range(n))
     flat_l, flat_r = b"".join(left), b"".join(right)
     for k, lhs, rhs in (
@@ -342,17 +367,19 @@ def ensure_valid(table: DigroupTable) -> DigroupTable:
 
 def liu_inverse(table: DigroupTable, x: Element) -> Element:
     """The unique y with y ⇀ x = e = x ↼ y.  Requires a validated table."""
-    e = table.identity
-    for y in table.elements():
-        if table.left[y][x] == e and table.right[x][y] == e:
-            return y
-    raise DigroupError(f"element {x} has no Liu inverse; table was not validated")
+    return liu_inverse_map(table)(x)
 
 
 def liu_inverse_map(table: DigroupTable) -> Mapping:
-    """Liu inverse of every element, as a self-mapping of the carrier."""
+    """Liu inverse of every element, as a self-mapping of the carrier.  The
+    scan is the validator's own, so it fails exactly where the validator
+    reports INVERSE_MISSING, at the same element."""
     n = table.order
-    return Mapping(n, n, tuple(liu_inverse(table, x) for x in range(n)))
+    inverses = _liu_inverses(table.identity, table.left, table.right)
+    if -1 in inverses:
+        x = inverses.index(-1)
+        raise DigroupError(f"element {x} has no Liu inverse; table was not validated")
+    return Mapping(n, n, tuple(inverses))
 
 
 def commutes(table: DigroupTable, x: Element, y: Element) -> bool:

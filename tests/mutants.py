@@ -33,6 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 MORPHISMS = "src/digroups/morphisms.py"
 SEARCH = "src/digroups/search.py"
+TABLES = "src/digroups/tables.py"
 TIMEOUT = 60.0
 WALKER_TESTS = (
     "tests/test_search.py::test_lex_cut_from_the_root_cuts_where_a_whole_relabeling_reads_below",
@@ -166,16 +167,16 @@ MUTANTS = (
     Mutant(
         "canonical: G is closed with the newest generator only",
         MORPHISMS,
-        "_close(ties, lambda p: map(p.translate, kept))",
-        "_close(ties, lambda p: map(p.translate, kept[-1:]))",
+        "_close(ties, lambda p: map(p.translate, gens))",
+        "_close(ties, lambda p: map(p.translate, gens[-1:]))",
         ("tests/test_morphisms.py",),
         "the automorphisms listed are not closed under the older generators",
     ),
     Mutant(
         "canonical: G is not closed",
         MORPHISMS,
-        "            kept.append(g)\n            _close(ties, lambda p: map(p.translate, kept))",
-        "            kept.append(g)\n            ties.add(c.translate(g))",
+        "_close(ties, lambda p: map(p.translate, gens))",
+        "ties.update(c.translate(g) for g in gens)",
         ("tests/test_morphisms.py",),
         "only the generators' images are listed as automorphisms",
     ),
@@ -218,11 +219,31 @@ MUTANTS = (
     ),
     Mutant(
         "validator: the witness index arithmetic",
-        "src/digroups/tables.py",
+        TABLES,
         "y, z = divmod(i, n)",
         "z, y = divmod(i, n)",
         ("tests/test_tables.py",),
         "a diassociativity witness names y and z swapped",
+    ),
+    Mutant(
+        "liu scan: accepts a y with x↼y = e without checking y⇀x = e",
+        TABLES,
+        "            while left[y][x] != e:",
+        "            while False:",
+        ("tests/test_tables.py",),
+        "the first e in row x of ↼ is taken as the Liu inverse, so the validator "
+        "misses INVERSE_MISSING and the Liu map returns a wrong inverse",
+    ),
+    Mutant(
+        "subdigroups: generated_subdigroup's step omits the Liu inverse",
+        "src/digroups/subdigroups.py",
+        "lambda a: [liu(a)]\n        + [p for b in closure",
+        "lambda a: [p for b in closure",
+        ("tests/test_subdigroups.py",),
+        "in a finite digroup the Liu inverse of a is the inverse of e⇀a in the "
+        "group e⇀G under ⇀, a power of e⇀a, so the product closure of a set "
+        "holding e and a holds it already",
+        equivalent=True,
     ),
     Mutant(
         "translations: swapped first-component tables",

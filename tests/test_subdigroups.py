@@ -158,3 +158,18 @@ def test_scan_cap():
 
     with pytest.raises(UnsupportedOrderError):
         all_subdigroups(trivial_digroup(17))
+
+
+def test_generated_subdigroup_is_the_least_subdigroup_holding_the_seed(reference_classes):
+    """The closure equals the intersection of the scanned subdigroups that
+    hold the seed, for every seed of at most two elements."""
+    for entry in reference_classes:
+        table, n = entry.canonical, entry.order
+        if n > 6:
+            continue
+        subs = [s.members for s in all_subdigroups(table)]
+        for size in range(3):
+            for seed in itertools.combinations(range(n), size):
+                holding = [h for h in subs if h.issuperset(seed)]
+                least = frozenset.intersection(*holding)
+                assert generated_subdigroup(table, seed).members == least, (n, seed)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from digroups import (
+    DigroupError,
     DigroupTable,
     MalformedTableError,
     Mapping,
@@ -432,3 +433,27 @@ def test_validator_agrees_with_a_loop_oracle():
     reports = [validate_digroup(t) for t in tables_24_36]
     assert reports == [_reference_report(t) for t in tables_24_36]
     assert [r.ok for r in reports] == [True, False, False, False, False] * 3
+
+
+def test_liu_inverse_map_fails_exactly_where_the_validator_reports(reference_classes):
+    """liu_inverse_map raises on a table iff its report holds INVERSE_MISSING,
+    and names that law's witness; where it succeeds, liu_inverse reads it."""
+    rng = random.Random(2311)
+    # an order-1 table has no other value to corrupt a cell to
+    tables = [e.canonical for e in reference_classes if 2 <= e.order <= 6]
+    tables.append(builtin("Z64"))
+    corrupted = [c for t in tables for c in _corruptions(t, rng, 12)]
+    missing = 0
+    for table in tables + corrupted:
+        witnesses = [
+            v.witnesses for v in validate_digroup(table).violations if v.law == INVERSE_MISSING
+        ]
+        if witnesses:
+            [(x,)] = witnesses
+            with pytest.raises(DigroupError, match=rf"^element {x} has no Liu inverse;"):
+                liu_inverse_map(table)
+            missing += 1
+            continue
+        liu = liu_inverse_map(table)
+        assert [liu_inverse(table, x) for x in table.elements()] == list(liu.image)
+    assert 0 < missing < len(corrupted)
