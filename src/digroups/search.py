@@ -3,11 +3,12 @@
 The propagating enumerator fills the 2n² table cells with the identity fixed
 at index 0.  Bar-unit cells are pre-seeded: column e of the left table is the
 identity column, row e of the right table the identity row, and column e of
-the right table is tied cell-by-cell to row e of the left table.  Every
-diassociativity instance links the two inner-product cells of a triple
-(x, y, z) to its two outer cells; once both inner products are known the
-outer cells must agree, which assigns a value, detects a conflict, or records
-an equality edge between two still-open cells.  Partial assignments that are
+the right table is tied cell-by-cell to row e of the left table, which is
+seeded whole once per fiber size (below).  Every diassociativity instance
+links the two inner-product cells of a triple (x, y, z) to its two outer
+cells; once both inner products are known the outer cells must agree, which
+assigns a value, detects a conflict, or records an equality edge between two
+still-open cells.  Partial assignments that are
 lexicographically above one of their identity-fixing relabelings are cut.
 
 The axioms also force two families of bijections.  Given y, take its Liu
@@ -29,6 +30,36 @@ row x of ↼ is a bijection, so e⇀u = u.  The y with y⇀x = e then satisfies
 y = y⇀(x↼u) = (y⇀x)⇀u = e⇀u = u by DIASSOC_2, so u is the Liu inverse of
 x.  _entries_from_solutions still re-validates every emitted table.
 
+Row e of ⇀ is seeded whole, once per fiber size.  Let E = {e⇀x} be the
+group core, J = {x : e⇀x = e} and j = |J|; the fiber of g in E is
+{y : e⇀y = g}.
+- e⇀· is idempotent: e⇀(e⇀y) = (e⇀e)⇀y = e⇀y by DIASSOC_1 and e⇀e = e.  So
+  each g in E lies in its own fiber, and the fibers partition the carrier.
+- x⇀y = x⇀(e⇀y), since x⇀(e⇀y) = (x⇀e)⇀y by DIASSOC_1 and x⇀e = x.
+- Let g be in E.  For x in J, e⇀(g↼x) = (e⇀g)⇀x = g⇀x by DIASSOC_2, and
+  g⇀x = g⇀(e⇀x) = g⇀e = g, so x ↦ g↼x maps J into the fiber of g,
+  one-to-one since row g of ↼ is a bijection.  Let ǧ be the Liu inverse of
+  g.  For z in the fiber of g, e⇀(ǧ↼z) = (e⇀ǧ)⇀z by DIASSOC_2,
+  = (e⇀ǧ)⇀(e⇀z) = (e⇀ǧ)⇀g, = e⇀(ǧ⇀g) = e⇀e = e by DIASSOC_1, so
+  z ↦ ǧ↼z maps the fiber of g one-to-one into J, row ǧ of ↼ being a
+  bijection.
+So every fiber has j elements, and j divides n.  A relabeling of a digroup
+is a digroup with the same j, so its row e, R, has these properties too.
+Let r(y) = y − y % j.  If R ≠ r, let y = kj + i (0 ≤ i < j) be the first
+position where they differ.  The labels below kj fill the fibers of 0, j,
+…, (k−1)j, which are then full, and the i labels kj, …, y − 1 map to kj.
+R(y) is in the core, so it is a label v with R(v) = v.  If v < y, then
+v = R(v) = r(v) is a multiple of j at most kj.  It is not below kj, whose
+fibers are full, and v = kj (so i > 0) would give R(y) = kj = r(y).  So
+R(y) = v ≥ y ≥ r(y), and R(y) > r(y): r is the lex-least row e over all
+identity-fixing relabelings.  It is attained by labelling the core
+elements 0, j, 2j, …, e first, and each fiber with the j labels from its
+core element's on.  Row e of ⇀ is the first row of the key, so every
+canonical table has row e equal to r, for its own j.  The search runs once
+per divisor j of n: it seeds row e with r, cuts, and branches on the rest.
+No class is lost, and the leaf check still keeps exactly the canonical
+tables.
+
 The seeded cells agree with their image under every identity-fixing
 relabeling, so comparing the open cells in canonical-key order is comparing
 whole flattened tables.  After each assignment the cut asks morphisms'
@@ -39,8 +70,10 @@ full, so a table is emitted exactly when it is the lex-least member of its
 class, its own canonical form: one table per class and no dedup pass
 (orderly generation, McKay 1998).  On a complete table the walk prunes with
 the automorphisms it finds; the morphisms module docstring proves that
-sound.  Since the search branches on the first open cell in key order and
-tries values in ascending order, the tables come out strictly increasing.
+sound.  Within one seed the search branches on the first open cell in key
+order and tries values in ascending order.  The seeds run j in descending
+order, and for j > j′ the row r of j reads 0 at position j′ where that of
+j′ reads j′, so the tables come out strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
 unit constraints outright, keeps the valid ones equal to their canonical_form,
@@ -283,10 +316,23 @@ class _Search:
         self.solutions.append((left, right))
 
     def run(self) -> list[tuple[tuple, tuple]]:
-        # No root check: the first branching cell e⇀1 is still open after
-        # seeding (it is 1 in Z_n and e in the trivial digroup), so no
-        # relabeling can compare yet.
-        self._dfs(0)
+        # One search per fiber size j: row e of ⇀ is e⇀y = y − y % j in every
+        # canonical table (module docstring).  A larger j gives a smaller
+        # row, so descending j keeps the tables in increasing key order.  The
+        # seed is cut like any assignment, so _dfs enters only nodes that
+        # passed the cut; a seed that propagation completes is the one
+        # digroup with that row e, its own canonical form, so the cut never
+        # drops a class there.
+        n = self.n
+        for j in range(n, 0, -1):
+            if n % j:
+                continue
+            mark = len(self.trail)
+            if all(self._try(y, y - y % j) for y in range(1, n)) and (
+                _reads_below(self.val, self.bcells, self.bkeys, n, []) is None
+            ):
+                self._dfs(0)
+            self._undo(mark)
         return self.solutions
 
     def _dfs(self, bpos: int) -> None:

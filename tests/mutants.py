@@ -200,6 +200,40 @@ MUTANTS = (
         "a repeated value in a ⇀ column or a ↼ row is searched on",
     ),
     Mutant(
+        "search: the row-e seeds run j ascending",
+        SEARCH,
+        "for j in range(n, 0, -1):",
+        "for j in range(1, n + 1):",
+        ("tests/test_search.py::test_search_emits_canonical_tables_in_order",),
+        "a larger fiber size gives a smaller row e, so the tables come out in "
+        "decreasing key order",
+    ),
+    Mutant(
+        "search: the groups' seed j = 1 is skipped",
+        SEARCH,
+        "for j in range(n, 0, -1):",
+        "for j in range(n, 1, -1):",
+        ("tests/test_search.py::test_catalogs_equal_the_reference_catalog",),
+        "every class with J = {e}, each group, is lost",
+    ),
+    Mutant(
+        "search: no cut after the row-e seed",
+        SEARCH,
+        " and (\n                _reads_below(self.val, self.bcells, self.bkeys, n, []) is None\n"
+        "            ):",
+        ":",
+        (
+            "tests/test_search.py::test_search_node_counts_are_pinned",
+            "tests/test_search.py::test_search_emits_canonical_tables_in_order",
+            "tests/test_search.py::test_catalogs_9_and_10_are_byte_stable",
+        ),
+        "the seeded row is the lex-least row e, and this cut never cuts at "
+        "orders 1-12 (same tables and node counts, one cut call fewer per "
+        "divisor); a table that propagation completes from the seed alone is "
+        "the one digroup with that row e, so it is its own canonical form",
+        equivalent=True,
+    ),
+    Mutant(
         "naive oracle: the skip tests DIASSOC_4, which holds on (⇀, ⇀)",
         SEARCH,
         "return any(k == 0 for k, _ in _violations(0, left, left))",

@@ -198,18 +198,25 @@ def test_group_counts_match_known_values(catalogs):
         assert got == want
 
 
-@pytest.mark.parametrize("n,labeled", [(2, 2), (3, 2), (4, 11), (5, 7)])
+@pytest.mark.parametrize("n,labeled", [(1, 1), (2, 2), (3, 2), (4, 6), (5, 7), (6, 86)])
 def test_unpruned_search_matches_orbit_stabilizer_counts(
     n, labeled, catalogs, monkeypatch
 ):
     # Disable the symmetry pruning: the search must then emit every labeled
-    # digroup with identity at 0, whose number is the orbit-stabilizer sum
-    # (n-1)!/|Aut(D)| over the classes.  (The same check passes at n=6 with
-    # 261 labeled tables; left out of the routine suite for speed.)
+    # digroup with identity at 0 whose row e of ⇀ is the block row y − y % j,
+    # j = |{x : e⇀x = e}| (search module docstring).  The identity-fixing
+    # relabelings of a class's canonical table that keep that row send the
+    # core to 0, j, 2j, … in (n/j − 1)! ways and each fiber onto the block
+    # after its core element in (j − 1)! ways, so the number of such tables
+    # is the orbit-stabilizer sum of (j − 1)!^(n/j)·(n/j − 1)!/|Aut(D)| over
+    # the classes.  At n ≤ 3 the set is also compared with every
+    # unit-consistent pair that the validator passes and whose row e is a
+    # block row.
     import math
 
     from digroups import DigroupTable, automorphisms
     from digroups.search import _Search
+    from digroups.tables import _violations
 
     monkeypatch.setattr("digroups.search._reads_below", lambda *table: None)
     solutions = _Search(n).run()
@@ -220,8 +227,22 @@ def test_unpruned_search_matches_orbit_stabilizer_counts(
     }
     canon = sorted(classes, key=lambda t: t.left + t.right)
     assert canon == [e.canonical for e in catalogs[n]]
-    predicted = sum(math.factorial(n - 1) // len(automorphisms(t)) for t in canon)
+    predicted = 0
+    for t in canon:
+        j = t.left[0].count(0)
+        relabelings = math.factorial(j - 1) ** (n // j) * math.factorial(n // j - 1)
+        predicted += relabelings // len(automorphisms(t))
     assert predicted == labeled
+    if n <= 3:
+        blocks = {bytes(y - y % j for y in range(n)) for j in range(1, n + 1) if n % j == 0}
+        naive = {
+            (tuple(map(tuple, left)), tuple(map(tuple, right)))
+            for left, rights in _unit_consistent_pairs(n)
+            if left[0] in blocks
+            for right in rights
+            if next(_violations(0, left, right), None) is None
+        }
+        assert set(solutions) == naive
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -242,7 +263,7 @@ def test_search_emits_canonical_tables_in_order(n):
 
 @pytest.mark.parametrize(
     "n,nodes",
-    [(1, 1), (2, 4), (3, 11), (4, 29), (5, 52), (6, 116), (7, 185), (8, 379)],
+    [(1, 1), (2, 3), (3, 5), (4, 14), (5, 10), (6, 38), (7, 16), (8, 73)],
 )
 def test_search_node_counts_are_pinned(n, nodes, monkeypatch):
     # The number of search nodes is the machine-independent measure of the
@@ -269,6 +290,72 @@ def test_catalogs_equal_the_reference_catalog():
         want = [line for line in lines if json.loads(line)["order"] == n]
         got = catalog_lines(enumerate_digroups(n, SearchOptions(allow_large=True)))
         assert got == want
+
+
+def test_catalogs_9_and_10_are_byte_stable():
+    # tests/catalog_9_10.jsonl was written by the search before it seeded row
+    # e of ⇀ per fiber size, one catalog line per class and a newline each
+    reference = Path(__file__).with_name("catalog_9_10.jsonl")
+    got = [
+        line
+        for n in (9, 10)
+        for line in catalog_lines(enumerate_digroups(n, SearchOptions(allow_large=True)))
+    ]
+    assert "".join(line + "\n" for line in got).encode("utf-8") == reference.read_bytes()
+
+
+def test_order_11_has_two_classes():
+    # Order 11 is prime: a group core of order 11 with a one-point fiber, Z11,
+    # and the trivial core with a fiber of 11 points, trivial(11); 1 + 1
+    # classes by the structure of the module docstring
+    entries = enumerate_digroups(11, SearchOptions(allow_large=True))
+    assert [e.group for e in entries] == [False, True]
+    for entry, rep in zip(entries, (trivial_digroup(11), cyclic_group(11))):
+        assert validate_digroup(entry.canonical).ok
+        assert find_isomorphism(entry.canonical, rep) is not None
+
+
+def test_row_e_of_the_canonical_table_is_a_block_row(reference_classes):
+    # The search seeds row e of ⇀ only with y − y % j for j = |J|,
+    # J = {x : e⇀x = e} (search module docstring).  This checks the lemma
+    # without the search: e⇀· is idempotent, every fiber {y : e⇀y = g} has |J|
+    # elements, and the canonical table's row e is the block row.  The tables
+    # are every reference class and direct products up to order 36, each with
+    # three seeded relabelings that may move the identity.
+    import random
+    from collections import Counter
+
+    from digroups import Mapping, relabel
+    from digroups.morphisms import _CANONICAL_CAP
+
+    rng = random.Random(24)
+    b, z, t = builtin, cyclic_group, trivial_digroup
+    products = [
+        direct_product(b("N"), z(3)),
+        direct_product(b("S3"), t(3)),
+        direct_product(b("M"), z(4)),
+        direct_product(b("N"), b("M")),
+        direct_product(b("N"), b("N")),
+    ]
+    tables = []
+    for table in [e.canonical for e in reference_classes] + products:
+        n = table.order
+        tables.append(table)
+        for _ in range(3):
+            tables.append(relabel(table, Mapping(n, n, tuple(rng.sample(range(n), n)))))
+    assert len(tables) == 4 * (29 + 5)
+    canonical_checked = 0
+    for table in tables:
+        n, e = table.order, table.identity
+        row = table.left[e]
+        assert all(row[row[y]] == row[y] for y in range(n))
+        fibers = Counter(row)
+        j = fibers[e]
+        assert set(fibers.values()) == {j}
+        if n <= _CANONICAL_CAP:
+            assert canonical_form(table).table.left[0] == tuple(y - y % j for y in range(n))
+            canonical_checked += 1
+    assert canonical_checked == 4 * (29 + 1)
 
 
 def is_lex_least(table):
@@ -314,7 +401,7 @@ def test_order_9_has_four_classes(monkeypatch):
 
     monkeypatch.setattr(_Search, "_dfs", counted)
     entries = enumerate_digroups(9, SearchOptions(allow_large=True))
-    assert calls == 604
+    assert calls == 41
     assert len(entries) == 4
     assert sum(e.group for e in entries) == 2
     for e in entries:
