@@ -91,12 +91,11 @@ certificate is the least element of G∘c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .tables import DigroupTable, Mapping, MalformedTableError, UnsupportedOrderError
-from .tables import _close, _reindex
+from .tables import _Record, _close, _reindex
 
 # The walk itself reads trivial(n) and a group's row e without branching, but
 # _canonical_relabelings closes the group G of the last pass as a set, the
@@ -332,8 +331,7 @@ def automorphisms(table: DigroupTable) -> list[Mapping]:
     return [Mapping(n, n, tuple(image)) for image in sorted(p.translate(back) for p in ties)]
 
 
-@dataclass(frozen=True)
-class CanonicalTable:
+class CanonicalTable(_Record):
     """The lex-least identity-normalizing relabeling of a table pair, plus the
     relabeling that realizes it."""
 

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -97,6 +96,7 @@ from .tables import (
     ConstructionError,
     DigroupTable,
     UnsupportedOrderError,
+    _Record,
     _violations,
     builtin,
     is_commutative,
@@ -108,16 +108,14 @@ _PROPAGATING_CAP = 6  # the supported ceiling; beyond it use allow_large
 _NAIVE_CAP = 3
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(_Record):
     """Options for enumerate_digroups: allow_large lifts the order cap of the
     search.  The brute-force oracle is the separate naive_enumerate."""
 
     allow_large: bool = False
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One isomorphism class: its canonical table and recomputable flags."""
 
     canonical: DigroupTable
@@ -127,8 +125,7 @@ class CatalogEntry:
     subdigroup_count: int
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(_Record):
     claim_id: str
     expected: str
     observed: str
@@ -137,8 +134,7 @@ class ClaimResult:
     entries: tuple[CatalogEntry, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(_Record):
     claims: tuple[ClaimResult, ...]
 
     @property

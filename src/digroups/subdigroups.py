@@ -18,13 +18,12 @@ a time, as NextClosure does (Ganter 1984).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tables import (
     DigroupTable,
     Element,
     MalformedTableError,
     UnsupportedOrderError,
+    _Record,
     _close,
     _reindex,
     liu_inverse_map,
@@ -34,8 +33,7 @@ from .tables import (
 _SUBSET_SCAN_CAP = 16  # exhaustive subset scans stop at 2^16 subsets
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(_Record):
     """A subset of the carrier of a digroup of the given order."""
 
     order: int

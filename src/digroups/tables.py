@@ -21,7 +21,7 @@ Tables are stored row-major with the row index as the left operand:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 Element = int
@@ -76,8 +76,87 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, row)) for row in rows)
 
 
-@dataclass(frozen=True)
-class DigroupTable:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records: what ``@dataclass(frozen=True)``
+    gives, without importing ``dataclasses`` or generating code.
+
+    A subclass lists its fields as annotations, in order; a class attribute
+    of the same name is that field's default.  From them the base gives
+    construction by position and keyword, a ``__post_init__`` hook, equality
+    with records of the same class only, ``hash`` of the tuple of fields,
+    the dataclass repr, and AttributeError on assignment or deletion.
+    Fields are set with ``object.__setattr__``, as ``__post_init__`` may
+    also do; touching ``__dict__`` instead would make every later attribute
+    read slower.  ``functools.cached_property`` keeps what it caches in the
+    instance ``__dict__``, outside equality.  A class built in bulk defines
+    its own ``__init__`` with the fields as parameters, which is faster than
+    the generic one.
+    """
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+        values = attrgetter(*fields)
+        if len(fields) == 1:  # attrgetter of one name gives the bare value
+            values = staticmethod(lambda self, one=values: (one(self),))
+        cls._values = values
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, for a call that names some fields or
+        leaves some to their defaults."""
+        fields, defaults = cls._fields, cls._defaults
+        given = dict(zip(fields, args))
+        if (
+            len(args) > len(fields)
+            or any(f not in fields or f in given for f in kwargs)
+            or any(f not in given and f not in kwargs and f not in defaults for f in fields)
+        ):
+            raise TypeError(
+                f"{cls.__name__}() takes each of {', '.join(fields)} once, by position"
+                f" or keyword; got {len(args)} by position and {sorted(kwargs)}"
+            )
+        given.update(kwargs)
+        return [given[f] if f in given else defaults[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DigroupTable(_Record):
     """A pointed carrier with two n x n operation tables.
 
     Structural well-formedness (square tables, entries in range, distinct
@@ -92,12 +171,15 @@ class DigroupTable:
     right: tuple[tuple[Element, ...], ...]
     labels: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", _as_matrix(self.left))
-        object.__setattr__(self, "right", _as_matrix(self.right))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        n = self.order
+    def __init__(self, order, identity, left, right, labels=None):
+        _set(self, "order", order)
+        _set(self, "identity", identity)
+        _set(self, "left", _as_matrix(left))
+        _set(self, "right", _as_matrix(right))
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+        _set(self, "labels", labels)
+        n = order
         if n < 1:
             raise MalformedTableError(f"order must be >= 1, got {n}")
         if not (0 <= self.identity < n):
@@ -134,8 +216,7 @@ class DigroupTable:
         return range(self.order)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken law with the lexicographically first witness tuple."""
 
     law: str
@@ -143,9 +224,14 @@ class Violation:
     lhs: Optional[Element] = None
     rhs: Optional[Element] = None
 
+    def __init__(self, law, witnesses, lhs=None, rhs=None):
+        _set(self, "law", law)
+        _set(self, "witnesses", witnesses)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
-@dataclass(frozen=True, repr=False)
-class ValidationReport:
+
+class ValidationReport(_Record):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -161,8 +247,7 @@ class ValidationReport:
         return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(_Record):
     """A finite function between index sets, as an image vector.
 
     Used for homomorphisms, Liu-inverse maps, relabelings, transform
@@ -175,9 +260,12 @@ class Mapping:
     codomain_size: int
     image: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(map(int, self.image)))
-        n, m, image = self.domain_size, self.codomain_size, self.image
+    def __init__(self, domain_size, codomain_size, image):
+        image = tuple(map(int, image))
+        _set(self, "domain_size", domain_size)
+        _set(self, "codomain_size", codomain_size)
+        _set(self, "image", image)
+        n, m = domain_size, codomain_size
         if len(image) != n:
             raise MalformedTableError(
                 f"mapping image has {len(image)} entries, expected {n}"

@@ -35,7 +35,6 @@ proves the source a digroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -50,6 +49,7 @@ from .tables import (
     UnsupportedOrderError,
     ValidationReport,
     Violation,
+    _Record,
     _VALIDATE_CAP,
     _pair_table,
     _require_checkable,
@@ -75,8 +75,7 @@ TRANSLATION_LAWS = (
 )
 
 
-@dataclass(frozen=True)
-class TransformSet:
+class TransformSet(_Record):
     """Distinct transforms, self-maps of a carrier of ``carrier_size``
     points, with a labeling of carrier elements onto them.
 
@@ -242,8 +241,7 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     return ValidationReport.from_violations(ordered)
 
 
-@dataclass(frozen=True)
-class ProductDigroup:
+class ProductDigroup(_Record):
     """A digroup built on pairs of transforms, with the embedding of the
     source digroup onto its diagonal.
 

@@ -29,8 +29,6 @@ Each law code has one meaning across both modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tables import (
     DigroupTable,
     DigroupError,
@@ -38,6 +36,7 @@ from .tables import (
     Mapping,
     ValidationReport,
     Violation,
+    _Record,
     _require_checkable,
     ensure_valid,
     liu_inverse_map,
@@ -89,8 +88,7 @@ class TripleValidationError(DigroupError):
     """A digroup was requested from a triple that fails validation."""
 
 
-@dataclass(frozen=True)
-class StandardTriple:
+class StandardTriple(_Record):
     """Group part, semigroup part, right unit, left-inverse selection, and
     phi, all as transforms of a common carrier.
 

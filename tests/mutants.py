@@ -328,6 +328,31 @@ MUTANTS = (
         "C2 passes on a catalog whose order 1 is wrong",
     ),
     Mutant(
+        "records: equality accepts a record of another class",
+        TABLES,
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, _Record):",
+        ("tests/test_records.py",),
+        "two record classes with equal fields compare equal",
+    ),
+    Mutant(
+        "records: the hash skips the first field",
+        TABLES,
+        "return hash(self._values(self))",
+        "return hash(self._values(self)[1:])",
+        ("tests/test_records.py",),
+        "records that differ only in their first field share a hash, and "
+        "no hash equals the frozen dataclass's",
+    ),
+    Mutant(
+        "records: assignment to a field goes through",
+        TABLES,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "_set(self, name, value)",
+        ("tests/test_records.py",),
+        "a record is mutable, so its hash can change while it sits in a set",
+    ),
+    Mutant(
         "budgets: a 40 MiB cap on info",
         "tests/test_budgets.py",
         '(["info", "trivial16.json"], 0, 10, 256)',

@@ -1,8 +1,9 @@
-"""Which digroups modules a fresh interpreter loads.
+"""Which modules a fresh interpreter loads.
 
 ``import digroups`` loads no submodule, and each CLI command loads only the
 submodules it runs, so a command's start-up time does not pay for the rest
-of the library.
+of the library.  No command loads ``dataclasses`` or ``inspect``: the
+records derive from ``tables._Record``, which costs neither.
 """
 
 import json
@@ -38,19 +39,25 @@ def _fresh(code: str, cwd) -> str:
     return done.stdout
 
 
-def _loaded_by(argv: list[str], cwd) -> set[str]:
-    """The digroups modules in ``sys.modules`` after ``python -m digroups
-    ARGV`` has run, the command having exited 0."""
+def _imported_by(argv: list[str], cwd) -> set[str]:
+    """The modules that ``python -m digroups ARGV`` adds to ``sys.modules``,
+    the command having exited 0."""
     code = (
         "import json, runpy, sys\n"
+        "before = set(sys.modules)\n"
         f"sys.argv = ['digroups', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('digroups', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('digroups.')]))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     return set(json.loads(_fresh(code, cwd).splitlines()[-1]))
+
+
+def _loaded_by(argv: list[str], cwd) -> set[str]:
+    """The digroups submodules that ``python -m digroups ARGV`` loads."""
+    return {m for m in _imported_by(argv, cwd) if m.startswith("digroups.")}
 
 
 @pytest.fixture()
@@ -86,6 +93,39 @@ def test_translation_commands_load_no_search(argv, documents):
     loaded = _loaded_by(argv, documents)
     assert "digroups.translations" in loaded
     assert "digroups.search" not in loaded
+
+
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "z64.json"],
+        ["enumerate", "6"],
+        ["claims"],
+        ["embed", "n.json"],
+        ["triple", "build", "n_triple.json"],
+        ["info", "n.json"],
+        ["subs", "n.json"],
+        ["iso", "n.json", "n.json"],
+    ],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv, documents):
+    assert not _imported_by(argv, documents) & HEAVY_STDLIB
+
+
+def test_loading_every_module_loads_neither_dataclasses_nor_inspect(tmp_path):
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import digroups\n"
+        "digroups.DigroupTable\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    loaded = set(json.loads(_fresh(code, tmp_path)))
+    assert ALL_MODULES <= loaded
+    assert not loaded & HEAVY_STDLIB
 
 
 def test_first_public_name_loads_every_module_for_the_tracer(tmp_path):

@@ -648,16 +648,17 @@ def test_claims_subset_run():
 def _moved(entry, rng):
     """The entry with its table relabelled by a seeded random bijection that
     moves the identity off index 0, so the table is no longer canonical."""
-    from dataclasses import replace
-
-    from digroups import Mapping, relabel
+    from digroups import CatalogEntry, Mapping, relabel
 
     n = entry.order
     perm = list(range(n))
     rng.shuffle(perm)
     if perm[0] == 0:
         perm[0], perm[1] = perm[1], perm[0]
-    return replace(entry, canonical=relabel(entry.canonical, Mapping(n, n, tuple(perm))))
+    moved = relabel(entry.canonical, Mapping(n, n, tuple(perm)))
+    return CatalogEntry(
+        moved, entry.order, entry.commutative, entry.group, entry.subdigroup_count
+    )
 
 
 def test_claims_recognise_relabelled_m_and_n(catalogs):
