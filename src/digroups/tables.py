@@ -21,7 +21,8 @@ Tables are stored row-major with the row index as the left operand:
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 Element = int
@@ -191,12 +192,14 @@ class DigroupTable(_Record):
                 raise MalformedTableError(
                     f"{name} table must have {n} rows, found {len(table)}"
                 )
+            # built once the table holds n rows, so never larger than the input
+            in_range = frozenset(range(n)).issuperset
             for x, row in enumerate(table):
                 if len(row) != n:
                     raise MalformedTableError(
                         f"{name} table row {x} must have {n} entries, found {len(row)}"
                     )
-                if min(row) < 0 or max(row) >= n:
+                if not in_range(row):
                     y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < n)
                     raise MalformedTableError(
                         f"entry {v} out of range at {name}[{x}][{y}]"
@@ -310,13 +313,20 @@ class Mapping(_Record):
 
 def _reindex(table: DigroupTable, members: Sequence[Element]) -> DigroupTable:
     """The table on members[0], members[1], ... relabelled 0, 1, ....  A
-    product or identity outside members raises KeyError."""
+    product or identity outside members raises KeyError.
+
+    Each new row is row a of the old table for a in members, its columns
+    picked by one itemgetter and its values relabelled by mapping the
+    position dict's lookup over them, so no cell is visited by Python code.
+    The rows are handed to DigroupTable unbuilt, so the only copy made of
+    them is the table's own."""
     pos = {x: i for i, x in enumerate(members)}
-    left, right = (
-        tuple(tuple(pos[rows[a][b]] for b in members) for a in members)
-        for rows in (table.left, table.right)
-    )
-    labels = None if table.labels is None else tuple(table.labels[x] for x in members)
+    pick = itemgetter(*members)
+    if len(members) == 1:  # itemgetter of one key gives the bare value
+        pick = lambda row, one=pick: (one(row),)
+    relabelled = lambda row: map(pos.__getitem__, pick(row))
+    left, right = (map(relabelled, pick(rows)) for rows in (table.left, table.right))
+    labels = None if table.labels is None else pick(table.labels)
     return DigroupTable(len(members), pos[table.identity], left, right, labels)
 
 
@@ -520,8 +530,8 @@ def trivial_digroup(n: int) -> DigroupTable:
     """
     if n < 1:
         raise MalformedTableError("trivial digroup needs order >= 1")
-    left = tuple(tuple(x for _ in range(n)) for x in range(n))
-    right = tuple(tuple(range(n)) for _ in range(n))
+    left = tuple((x,) * n for x in range(n))
+    right = (tuple(range(n)),) * n
     return DigroupTable(n, 0, left, right)
 
 
@@ -529,7 +539,8 @@ def cyclic_group(n: int) -> DigroupTable:
     """The cyclic group of order n read as a digroup (both products equal)."""
     if n < 1:
         raise MalformedTableError("cyclic group needs order >= 1")
-    rows = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    base = tuple(range(n))
+    rows = tuple(base[x:] + base[:x] for x in range(n))  # row x is (x + y) % n
     return DigroupTable(n, 0, rows, rows)
 
 
@@ -555,18 +566,28 @@ def _pair_table(
     """The unvalidated componentwise table on pairs (i, j) -> i * s + j, with
     s = len(second_left).  Each product takes its first component from its
     first index table and its second from its second: (i, j) ⇀ (k, l) is
-    (first_left[i][k], second_left[j][l]), and likewise for ↼."""
+    (first_left[i][k], second_left[j][l]), and likewise for ↼.
+
+    Row (i, j) of a product is, for k = 0, 1, ..., row j of the second
+    table shifted by t * s, where t = first[i][k].  The g shifted copies of
+    each second row are built once, by mapping an add over the row, and each
+    product row chains the copies that row i of the first table names, so
+    the g * s * s entries of the copies and the (g * s)^2 cells are all
+    written by C-level maps and chains.  The rows are handed to DigroupTable
+    unbuilt, so the only copy made of them is the table's own."""
     g, s = len(first_left), len(second_left)
-    left, right = [], []
-    for i in range(g):
-        for j in range(s):
-            lrow, rrow = [], []
-            for k in range(g):
-                lbase, rbase = first_left[i][k] * s, first_right[i][k] * s
-                lrow += [lbase + v for v in second_left[j]]
-                rrow += [rbase + v for v in second_right[j]]
-            left.append(lrow)
-            right.append(rrow)
+
+    def rows(first, second):
+        # lists, not tuples: freed tuples of under 20 entries stay on
+        # CPython's free list, which would raise the peak of what follows
+        shifted = [[list(map((t * s).__add__, row)) for t in range(g)] for row in second]
+        return (
+            chain.from_iterable(map(copies.__getitem__, row))
+            for row in first
+            for copies in shifted
+        )
+
+    left, right = rows(first_left, second_left), rows(first_right, second_right)
     return DigroupTable(g * s, identity[0] * s + identity[1], left, right, labels)
 
 

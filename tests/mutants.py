@@ -269,6 +269,55 @@ MUTANTS = (
         "misses INVERSE_MISSING and the Liu map returns a wrong inverse",
     ),
     Mutant(
+        "pair table: second rows are shifted by t * g, not t * s",
+        TABLES,
+        "list(map((t * s).__add__, row))",
+        "list(map((t * g).__add__, row))",
+        ("tests/test_tables.py::test_pair_table_equals_a_per_cell_reference",),
+        "a cell's first component is scaled by the wrong factor when g != s",
+    ),
+    Mutant(
+        "pair table: product rows run j-major",
+        TABLES,
+        "            for row in first\n            for copies in shifted",
+        "            for copies in shifted\n            for row in first",
+        ("tests/test_tables.py::test_pair_table_equals_a_per_cell_reference",),
+        "row (i, j) is built at index j * g + i, not i * s + j",
+    ),
+    Mutant(
+        "reindex: the columns are picked in sorted order",
+        TABLES,
+        "pick = itemgetter(*members)",
+        "pick = itemgetter(*sorted(members))",
+        ("tests/test_tables.py::test_relabel_equals_a_per_cell_reference",),
+        "a relabelled table keeps the old column order",
+    ),
+    Mutant(
+        "reindex: one member is picked as a bare value",
+        TABLES,
+        "if len(members) == 1:  # itemgetter of one key gives the bare value",
+        "if False:",
+        ("tests/test_tables.py::test_reindex_on_one_member",),
+        "the trivial subdigroup and order-1 tables cannot be re-indexed",
+    ),
+    Mutant(
+        "range check: an entry equal to the order passes",
+        TABLES,
+        "in_range = frozenset(range(n)).issuperset",
+        "in_range = frozenset(range(n + 1)).issuperset",
+        ("tests/test_tables.py::test_range_error_text_at_the_first_and_last_cell",),
+        "a table with an entry n is accepted",
+    ),
+    Mutant(
+        "range check: the valid set is built before the row count is checked",
+        TABLES,
+        '        for name, table in (("left", self.left), ("right", self.right)):',
+        "        in_range = frozenset(range(n)).issuperset\n"
+        '        for name, table in (("left", self.left), ("right", self.right)):',
+        ("tests/test_budgets.py", "-k", "huge_order"),
+        "a document that claims a huge order over one row fills memory",
+    ),
+    Mutant(
         "subdigroups: generated_subdigroup's step omits the Liu inverse",
         "src/digroups/subdigroups.py",
         "lambda a: [liu(a)]\n        + [p for b in closure",

@@ -45,6 +45,9 @@ _INPUTS = {
     "z2_trivial9.json": lambda: serialize_digroup(
         direct_product(builtin("Z2"), trivial_digroup(9))
     ),
+    "huge_order.json": lambda: (
+        '{"order": 1000000000, "identity": 0, "left": [[0]], "right": [[0]]}'
+    ),
 }
 
 # (argv, exit code, time budget in s, address-space budget in MiB); the
@@ -66,6 +69,7 @@ BUDGETS = [
     (["iso", "z2_trivial8.json", "trivial16.json"], 1, 10, 128),  # 0.15 s, cores of 2 and 1
     (["iso", "z2_trivial8.json", "trivial2_trivial8.json"], 1, 10, 128),  # 0.16 s, cores of 2 and 1
     (["iso", "trivial18.json", "z2_trivial9.json"], 2, 5, 128),  # 0.10 s, refused
+    (["check", "huge_order.json"], 2, 5, 128),  # 0.07 s, one row where 10^9 are claimed
 ]
 
 

@@ -28,6 +28,8 @@ from digroups import (
     trivial_digroup,
     validate_digroup,
 )
+from digroups.morphisms import canonical_form
+from digroups.subdigroups import all_subdigroups, restrict
 from digroups.tables import (
     BARUNIT_LEFT,
     BARUNIT_RIGHT,
@@ -40,6 +42,8 @@ from digroups.tables import (
     INVERSE_MISSING,
     ValidationReport,
     Violation,
+    _pair_table,
+    _reindex,
 )
 
 # Hand-transcribed operation tables for the two named digroups.
@@ -264,6 +268,154 @@ def test_range_errors_name_the_first_bad_entry():
     with pytest.raises(MalformedTableError) as exc:
         Mapping(3, 3, (0, 4, -1))
     assert str(exc.value) == "mapping image[1] = 4 out of range"
+
+
+# Each bad entry at the first and at the last cell of a table, and the text
+# the constructor must raise for it.
+_BAD_ENTRIES = (-1, 3, 10**30)
+_BAD_CELLS = (
+    ("left", 0, 0),
+    ("left", 2, 2),
+    ("right", 0, 0),
+    ("right", 2, 2),
+)
+
+
+@pytest.mark.parametrize("bad", _BAD_ENTRIES)
+@pytest.mark.parametrize("name, x, y", _BAD_CELLS)
+def test_range_error_text_at_the_first_and_last_cell(bad, name, x, y):
+    rows = {side: [[(a + b) % 3 for b in range(3)] for a in range(3)] for side in ("left", "right")}
+    rows[name][x][y] = bad
+    with pytest.raises(MalformedTableError) as exc:
+        DigroupTable(3, 0, rows["left"], rows["right"])
+    assert str(exc.value) == f"entry {bad} out of range at {name}[{x}][{y}]"
+
+
+@pytest.mark.parametrize("bad", _BAD_ENTRIES)
+@pytest.mark.parametrize("x", (0, 2))
+def test_mapping_range_error_text_at_the_first_and_last_entry(bad, x):
+    image = [0, 1, 2]
+    image[x] = bad
+    with pytest.raises(MalformedTableError) as exc:
+        Mapping(3, 3, image)
+    assert str(exc.value) == f"mapping image[{x}] = {bad} out of range"
+
+
+def _pair_reference(first_left, first_right, second_left, second_right, identity):
+    """The pair table cell by cell: (i, j) -> i * s + j, each product taking
+    its first component from the first table and its second from the second."""
+    g, s = len(first_left), len(second_left)
+    pairs = [(i, j) for i in range(g) for j in range(s)]
+    left, right = (
+        tuple(
+            tuple(first[i][k] * s + second[j][l] for k, l in pairs) for i, j in pairs
+        )
+        for first, second in ((first_left, second_left), (first_right, second_right))
+    )
+    return (g * s, identity[0] * s + identity[1], left, right)
+
+
+@pytest.mark.parametrize("g, s", [(1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (5, 5)])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_pair_table_equals_a_per_cell_reference(g, s, labelled):
+    """Seeded index tables, not digroups: the builder reads them as arrays."""
+    rng = random.Random(g * 100 + s)
+    first_left, first_right = (
+        [[rng.randrange(g) for _ in range(g)] for _ in range(g)] for _ in range(2)
+    )
+    second_left, second_right = (
+        [[rng.randrange(s) for _ in range(s)] for _ in range(s)] for _ in range(2)
+    )
+    identity = (rng.randrange(g), rng.randrange(s))
+    labels = [f"p{k}" for k in range(g * s)] if labelled else None
+    got = _pair_table(first_left, first_right, second_left, second_right, identity, labels)
+    expected = _pair_reference(first_left, first_right, second_left, second_right, identity)
+    assert (got.order, got.identity, got.left, got.right) == expected
+    assert got.labels == (None if labels is None else tuple(labels))
+
+
+def test_direct_product_past_order_256_equals_a_per_cell_reference():
+    z20 = builtin("Z20")
+    prod = direct_product(z20, z20)
+    identity = (z20.identity, z20.identity)
+    expected = _pair_reference(z20.left, z20.right, z20.left, z20.right, identity)
+    assert (prod.order, prod.identity, prod.left, prod.right) == expected
+    assert prod.order == 400 and prod.left[399][399] == 18 * 20 + 18
+
+
+def _relabel_reference(table, image):
+    """new[p(x)][p(y)] = p(old[x][y]) cell by cell, labels moved along."""
+    n = table.order
+    left, right = ([[None] * n for _ in range(n)] for _ in range(2))
+    for new, old in ((left, table.left), (right, table.right)):
+        for x in range(n):
+            for y in range(n):
+                new[image[x]][image[y]] = image[old[x][y]]
+    labels = None
+    if table.labels is not None:
+        labels = [None] * n
+        for x in range(n):
+            labels[image[x]] = table.labels[x]
+        labels = tuple(labels)
+    return DigroupTable(n, image[table.identity], left, right, labels)
+
+
+def _restrict_reference(table, members):
+    """The table on sorted members, re-indexed 0, 1, ... cell by cell."""
+    h = sorted(members)
+    rows = tuple(
+        tuple(tuple(h.index(old[a][b]) for b in h) for a in h)
+        for old in (table.left, table.right)
+    )
+    labels = None if table.labels is None else tuple(table.labels[a] for a in h)
+    return DigroupTable(len(h), h.index(table.identity), rows[0], rows[1], labels)
+
+
+def test_relabel_equals_a_per_cell_reference():
+    rng = random.Random(4099)
+    pool = [builtin(name) for name in ("trivial(1)", "M", "N", "S3", "Z12", "trivial(5)")]
+    pool.append(direct_product(builtin("N"), builtin("Z4")))
+    for table in pool:
+        for _ in range(4):
+            image = list(range(table.order))
+            rng.shuffle(image)
+            perm = Mapping(table.order, table.order, tuple(image))
+            assert relabel(table, perm) == _relabel_reference(table, image)
+
+
+def test_restrict_and_canonical_form_equal_a_per_cell_reference(reference_classes):
+    tables = [e.canonical for e in reference_classes if e.order <= 6]
+    tables += [builtin("N"), relabel(builtin("N"), Mapping(6, 6, (5, 3, 1, 0, 2, 4)))]
+    singletons = 0
+    for table in tables:
+        for sub in all_subdigroups(table):
+            assert restrict(table, sub) == _restrict_reference(table, sub.members)
+            singletons += len(sub.members) == 1
+        canon = canonical_form(table)
+        unlabelled = DigroupTable(table.order, table.identity, table.left, table.right)
+        assert canon.table == _relabel_reference(unlabelled, canon.certificate.image)
+    # every digroup's identity alone is a subdigroup
+    assert singletons == len(tables)
+
+
+def test_reindex_on_one_member():
+    n = builtin("N")
+    for members in ([0], b"\x00", (0,)):
+        one = _reindex(n, members)
+        assert (one.order, one.identity, one.left, one.right) == (1, 0, ((0,),), ((0,),))
+        assert one.labels == ("e",)
+    with pytest.raises(KeyError):
+        _reindex(n, [1])  # the identity lies outside
+
+
+def test_restrict_refuses_a_subset_that_is_not_closed():
+    n = builtin("N")
+    # β⇀β = δ lies outside {e, β}; {e, α, β} holds e but not β⇀α = δ
+    for subset in ({0, 2}, {0, 1, 2}, set(range(5))):
+        with pytest.raises(MalformedTableError, match="^subset is not closed under the products$"):
+            restrict(n, subset)
+    with pytest.raises(MalformedTableError, match="requires the identity"):
+        restrict(n, {1})
 
 
 def test_direct_product_properties(m_table):
