@@ -16,7 +16,6 @@ import importlib
 
 _HOMES = {
     "tables": (
-        "BUILTIN_NAMES",
         "ConstructionError",
         "DigroupError",
         "DigroupTable",
@@ -57,7 +56,6 @@ _HOMES = {
     ),
     "translations": (
         "ProductDigroup",
-        "TransformSet",
         "TranslationPair",
         "cayley_embedding",
         "left_translations",
@@ -70,6 +68,7 @@ _HOMES = {
     ),
     "triples": (
         "StandardTriple",
+        "TransformSet",
         "TripleValidationError",
         "digroup_from_triple",
         "triple_from_digroup",

@@ -116,8 +116,7 @@ def serialize_digroup(table: DigroupTable) -> str:
 
 
 def parse_triple(text: str) -> StandardTriple:
-    from .translations import TransformSet
-    from .triples import StandardTriple
+    from .triples import StandardTriple, TransformSet
 
     doc = _json_object(text)
     carrier = _require(doc, "carrier_size", int)

@@ -500,7 +500,6 @@ def is_group(table: DigroupTable) -> bool:
 # ---------------------------------------------------------------------------
 
 _M_LABELS = ("0", "a")
-_M_LEFT, _M_RIGHT = ((0, 0), (1, 1)), ((0, 1), (0, 1))
 _N_LABELS = ("e", "α", "β", "γ", "δ", "ε")
 
 # Order-6 non-commutative digroup; rows are the left operand.
@@ -611,7 +610,8 @@ def builtin(name: str) -> DigroupTable:
     """
     name = name.strip()
     if name == "M":
-        return DigroupTable(2, 0, _M_LEFT, _M_RIGHT, _M_LABELS)
+        m = trivial_digroup(2)
+        return DigroupTable(2, 0, m.left, m.right, _M_LABELS)
     if name == "N":
         return DigroupTable(6, 0, _N_LEFT, _N_RIGHT, _N_LABELS)
     if name == "S3":
@@ -633,6 +633,3 @@ def builtin(name: str) -> DigroupTable:
     # growing as k^2.
     _require_checkable(k)
     return factory(k)
-
-
-BUILTIN_NAMES = ("M", "N", "S3", "trivial(k)", "cyclic(k)", "Zk")

@@ -18,12 +18,15 @@ homomorphism.
 Composing the two families pairwise turns (group part) x (semi part) into a
 digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
-The two sets with phi are the digroup's standard triple (see triples.py), so
-this module has one builder for the pair digroup of triple data, shared with
-``digroup_from_triple``; it refuses a product beyond the axiom check's order
-cap before building any table.  The identity suite checks only the laws that
-read the digroup's products or Liu inverses before running the triple laws
-on the extracted triple, and both record violations through one collector.
+The two sets with phi are the digroup's standard triple, and the triples
+module owns that layer: ``TransformSet``, the extraction of the left parts,
+phi, composition and the pair-digroup builder, which refuses a product
+beyond the axiom check's order cap before building any table.  This module
+imports them and adds what reads a digroup's products: the translation
+sets as ``TranslationPair``s, the identity suite, both products and their
+embeddings.  The identity suite checks only the laws that read the
+digroup's products or Liu inverses, then appends ``validate_triple``'s
+violations on the extracted triple; both record through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, read off the columns, and the pair-table builder fills the
@@ -35,8 +38,7 @@ proves the source a digroup.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .morphisms import is_homomorphism
 from .subdigroups import SubsetMask, is_subdigroup
@@ -45,15 +47,22 @@ from .tables import (
     DigroupTable,
     Element,
     Mapping,
-    MalformedTableError,
-    UnsupportedOrderError,
     ValidationReport,
     Violation,
     _Record,
-    _VALIDATE_CAP,
     _pair_table,
-    _require_checkable,
     ensure_valid,
+    liu_inverse_map,
+)
+from .triples import (
+    TransformSet,
+    _first_violation,
+    _index_tables,
+    _left_parts,
+    _phi,
+    _triple_table,
+    triple_from_digroup,
+    validate_triple,
 )
 
 # Translation identity suite law codes, in report order.  The laws that only
@@ -75,71 +84,6 @@ TRANSLATION_LAWS = (
 )
 
 
-class TransformSet(_Record):
-    """Distinct transforms, self-maps of a carrier of ``carrier_size``
-    points, with a labeling of carrier elements onto them.
-
-    Duplicate functions collapse (set semantics); label_of records which
-    transform each element's translation became, and is surjective.
-    """
-
-    carrier_size: int
-    transforms: tuple[Mapping, ...]
-    label_of: Mapping
-
-    def __post_init__(self):
-        n = self.carrier_size
-        if any((t.domain_size, t.codomain_size) != (n, n) for t in self.transforms):
-            raise MalformedTableError(f"transforms must be self-maps of {n} points")
-        images = [t.image for t in self.transforms]
-        if len(set(images)) != len(images):
-            raise MalformedTableError("transform set contains duplicate functions")
-        if set(self.label_of.image) != set(range(len(self.transforms))):
-            raise MalformedTableError("element labeling must cover every transform")
-
-    def __len__(self) -> int:
-        return len(self.transforms)
-
-    @cached_property
-    def _rows(self) -> tuple[bytes, ...]:
-        """The members as byte strings, the form composing loops use."""
-        _require_checkable(self.carrier_size)  # translate tables have 256 entries
-        return tuple(bytes(t.image) for t in self.transforms)
-
-    @cached_property
-    def _after(self) -> tuple[bytes, ...]:
-        """Per member f, the translate table with h.translate(table) = f∘h."""
-        return tuple(row.ljust(256, b"\0") for row in self._rows)
-
-    @cached_property
-    def _index(self) -> dict[bytes, int]:
-        return {row: i for i, row in enumerate(self._rows)}
-
-    def index_of(self, t: Mapping) -> Optional[int]:
-        """Index of a transform by extension, or None if absent.  Carriers
-        beyond the axiom check's cap raise UnsupportedOrderError."""
-        return self._index.get(bytes(t.image))
-
-    @staticmethod
-    def from_rows(rows) -> "TransformSet":
-        """Build from per-element image rows, deduplicating in first-seen order."""
-        rows = [tuple(map(int, row)) for row in rows]
-        if not rows:
-            raise MalformedTableError("transform set needs at least one transform")
-        n = len(rows[0])
-        seen: dict[tuple[int, ...], int] = {}
-        transforms: list[Mapping] = []
-        labels: list[int] = []
-        for row in rows:
-            if row not in seen:
-                seen[row] = len(transforms)
-                transforms.append(Mapping(n, n, row))
-            labels.append(seen[row])
-        return TransformSet(
-            n, tuple(transforms), Mapping(len(rows), len(transforms), tuple(labels))
-        )
-
-
 class TranslationPair(NamedTuple):
     """Group-part and semigroup-part translation sets of one digroup."""
 
@@ -151,9 +95,7 @@ def left_translations(table: DigroupTable) -> TranslationPair:
     """Left translation sets: the group part collects x -> a ↼ x (rows of the
     right table; these collapse), the semi part x -> a ⇀ x (rows of the left
     table; always n distinct members since they send e to a)."""
-    group = TransformSet.from_rows(table.right)
-    semi = TransformSet.from_rows(table.left)
-    return TranslationPair(group, semi)
+    return TranslationPair(*_left_parts(table))
 
 
 def right_translations(table: DigroupTable) -> TranslationPair:
@@ -176,19 +118,6 @@ def phi(table: DigroupTable) -> Mapping:
     return _phi(left_translations(table), table.identity)
 
 
-def _phi(pair: TranslationPair, e: Element) -> Mapping:
-    """phi over an already built pair of left translation sets."""
-    group, semi = pair
-    image = tuple(group.label_of(f(e)) for f in semi.transforms)
-    return Mapping(len(semi), len(group), image)
-
-
-def _first_violation(store: dict, law: str, witnesses: tuple[int, ...]) -> None:
-    """Record a violation of law at witnesses unless law already has one."""
-    if law not in store:
-        store[law] = Violation(law, witnesses)
-
-
 def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     """Exhaustively check every translation identity over all element pairs.
 
@@ -201,11 +130,10 @@ def verify_translation_identities(table: DigroupTable) -> ValidationReport:
     of the extracted triple; ``validate_triple`` checks them and its
     violations, with transform-index witnesses, are appended.
     """
-    from .triples import _triple_and_liu, validate_triple  # triples imports us
-
     n = table.order
     e = table.identity
-    triple, liu = _triple_and_liu(table)
+    triple = triple_from_digroup(table)
+    liu = liu_inverse_map(table)
     group, semi = triple.group_part, triple.semi_part
     ident = bytes(range(n))
     # Per element a: grp(a) and sem(a) as rows, and their translate tables.
@@ -257,54 +185,6 @@ class ProductDigroup(_Record):
     diagonal: SubsetMask
     first_parts: TransformSet
     second_parts: TransformSet
-
-
-def _composition_table(afters, ts: TransformSet, error: str) -> list[list[int]]:
-    """Per translate table of a transform f, the index in ts of f∘h for every
-    member h; each composite must lie in ts."""
-    rows = []
-    for after in afters:
-        row = [ts._index.get(h.translate(after)) for h in ts._rows]
-        if None in row:
-            raise ConstructionError(error)
-        rows.append(row)
-    return rows
-
-
-def _require_product_checkable(group: TransformSet, semi: TransformSet) -> None:
-    """Refuse a pair product beyond the axiom check's order cap."""
-    order = len(group) * len(semi)
-    if order > _VALIDATE_CAP:
-        raise UnsupportedOrderError(f"pair product supports order <= {_VALIDATE_CAP}, got {order}")
-
-
-def _index_tables(group: TransformSet, semi: TransformSet, phi: Sequence[int]):
-    """What the pair digroup of standard-triple data is filled from: the
-    index of the identity transform in the group part, and the index tables
-    of α∘β (group part), f∘g (semi part) and phi(f)∘g (semi part).  Products
-    beyond the axiom check's cap are refused before any table is built."""
-    _require_product_checkable(group, semi)
-    ident = group._index.get(bytes(range(group.carrier_size)))
-    if ident is None:
-        raise ConstructionError("group part lacks the identity transform")
-    first, second = (
-        _composition_table(ts._after, ts, f"{what} not closed under composition")
-        for ts, what in ((group, "group part"), (semi, "semi part"))
-    )
-    absorb = "phi image does not absorb into the semi part"
-    mixed = _composition_table([group._after[pj] for pj in phi], semi, absorb)
-    return ident, first, second, mixed
-
-
-def _triple_table(
-    group: TransformSet, semi: TransformSet, phi: Sequence[int], right_unit: int
-) -> DigroupTable:
-    """The unvalidated pair digroup of standard-triple data: pairs (i, j) of
-    group and semi indices, the left product composing both components, the
-    right product composing first components and setting the second to
-    phi(f)∘g, identity (identity transform, right unit)."""
-    ident, first, second, mixed = _index_tables(group, semi, phi)
-    return _pair_table(first, first, second, mixed, (ident, right_unit))
 
 
 def _embedded(

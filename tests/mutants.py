@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MORPHISMS = "src/digroups/morphisms.py"
 SEARCH = "src/digroups/search.py"
 TABLES = "src/digroups/tables.py"
+TRIPLES = "src/digroups/triples.py"
 TIMEOUT = 60.0
 WALKER_TESTS = (
     "tests/test_search.py::test_lex_cut_from_the_root_cuts_where_a_whole_relabeling_reads_below",
@@ -359,6 +360,25 @@ MUTANTS = (
         "if False:",
         ("tests/test_translations.py",),
         "a diagonal that is not a subdigroup is accepted",
+    ),
+    Mutant(
+        "triples: a closure law reports the last missing composite",
+        TRIPLES,
+        "return next(((i, row.index(None)) for i, row in enumerate(table) if None in row), None)",
+        "return next(((i, len(row) - 1 - row[::-1].index(None))\n"
+        "                 for i, row in reversed(list(enumerate(table))) if None in row), None)",
+        ("tests/test_triples.py",),
+        "GROUP_CLOSURE, SEMI_CLOSURE and PHI_ABSORB name the lexicographically "
+        "last witness, not the first",
+    ),
+    Mutant(
+        "triples: the pair builder accepts a missing composite",
+        TRIPLES,
+        "    if _first_missing(table) is not None:\n        raise ConstructionError(error)",
+        "    if False:\n        raise ConstructionError(error)",
+        ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
+        "a composite outside its part reaches the table builder as None, which "
+        "fails with an error that is not a ConstructionError",
     ),
     Mutant(
         "claims: M is compared without canonicalising the entry",

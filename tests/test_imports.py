@@ -91,8 +91,36 @@ def test_classification_commands_load_no_translations(argv, documents):
 )
 def test_translation_commands_load_no_search(argv, documents):
     loaded = _loaded_by(argv, documents)
-    assert "digroups.translations" in loaded
+    assert "digroups.triples" in loaded
     assert "digroups.search" not in loaded
+    if argv[0] == "embed":
+        assert "digroups.translations" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triple", "extract", "n.json"],
+        ["triple", "check", "n_triple.json"],
+        ["triple", "build", "n_triple.json"],
+    ],
+)
+def test_triple_commands_load_only_the_triple_layer(argv, documents):
+    assert _loaded_by(argv, documents) == {
+        "digroups.cli",
+        "digroups.fileio",
+        "digroups.tables",
+        "digroups.triples",
+    }
+
+
+def test_triples_import_only_the_table_layer(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import digroups.triples\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('digroups.'))))\n"
+    )
+    assert json.loads(_fresh(code, tmp_path)) == ["digroups.tables", "digroups.triples"]
 
 
 HEAVY_STDLIB = {"dataclasses", "inspect"}
