@@ -39,6 +39,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# All of a list is integers when this holds the type of each entry: one
+# C-level pass per list, and bools, whose type is bool, fail it.
+_INTS = frozenset({int})
+
+
 def _require(doc: dict, key: str, kinds) -> object:
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
@@ -52,7 +57,7 @@ def _int_matrix(doc: dict, key: str) -> list[list[int]]:
     value = _require(doc, key, list)
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(_is_int(v) for v in row):
+        if not isinstance(row, list) or not _INTS.issuperset(map(type, row)):
             raise ParseError(f"field {key!r} row {i} must be a list of integers")
         rows.append(row)
     return rows
@@ -60,7 +65,7 @@ def _int_matrix(doc: dict, key: str) -> list[list[int]]:
 
 def _int_vector(doc: dict, key: str) -> list[int]:
     value = _require(doc, key, list)
-    if not all(_is_int(v) for v in value):
+    if not _INTS.issuperset(map(type, value)):
         raise ParseError(f"field {key!r} must be a list of integers")
     return value
 

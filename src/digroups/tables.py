@@ -22,7 +22,7 @@ Tables are stored row-major with the row index as the left operand:
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Optional, Sequence
 
 Element = int
@@ -56,6 +56,10 @@ DIGROUP_LAWS = (
 # bytes.translate, whose table has 256 entries, so the cap must stay <= 256.
 _VALIDATE_CAP = 200
 
+# Tables up to this order have every entry in 0..255, so their rows fit byte
+# strings and one 256-entry bytes.translate table relabels them.
+_BYTE_ORDER = 256
+
 
 class DigroupError(Exception):
     """Base class for all errors raised by this package."""
@@ -73,8 +77,77 @@ class ConstructionError(DigroupError):
     """A self-verifying construction produced an object failing its checks."""
 
 
-def _as_matrix(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(int, row)) for row in rows)
+def _integer(value, what: str) -> int:
+    """value as an exact int.  Anything with ``__index__`` is an integer,
+    bools too; a float, a string or None raises MalformedTableError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise MalformedTableError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of exact ints, under the contract of _integer; the
+    first that is no integer raises MalformedTableError as what[position]."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for y, v in enumerate(values):
+            _integer(v, f"{what}[{y}]")
+        raise
+
+
+# Row types that bytes() reads as a sequence of integers; any other row (a
+# generator, a range, an array whose buffer holds wider items) is read
+# through tuple() first.
+_ROW_TYPES = (bytes, bytearray, list, tuple)
+
+
+def _refuse_row(row: Sequence, n: int, name: str, x: int) -> None:
+    """Raise MalformedTableError for row x of table name at its first fault."""
+    if len(row) != n:
+        raise MalformedTableError(
+            f"{name} table row {x} must have {n} entries, found {len(row)}"
+        )
+    for y, v in enumerate(row):
+        v = _integer(v, f"{name}[{x}][{y}]")
+        if not 0 <= v < n:
+            raise MalformedTableError(f"entry {v} out of range at {name}[{x}][{y}]")
+    raise AssertionError(f"{name} table row {x} has no fault")
+
+
+def _as_matrix(rows: Iterable[Iterable[int]], n: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of table name as tuples of exact ints, checked to form an
+    n x n matrix over 0..n-1; the first faulty row or cell, in row order,
+    raises MalformedTableError.
+
+    Up to _BYTE_ORDER a row is read by one bytes(row), which takes only
+    integers in 0..255, and range-checked by one translate; above it, by
+    operator.index per cell and one frozenset.issuperset.  Either way no
+    Python code runs per cell."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise MalformedTableError(f"{name} table must have {n} rows, found {len(rows)}")
+    small = n <= _BYTE_ORDER
+    # built once the table holds n rows, so never larger than the input
+    valid = bytes(range(n)) if small else frozenset(range(n))
+    matrix = []
+    for x, row in enumerate(rows):
+        if type(row) not in _ROW_TYPES:
+            row = tuple(row)
+        try:
+            cells = bytes(row) if small else tuple(map(index, row))
+        except (TypeError, ValueError):  # a non-integer, or an entry past 255
+            cells = None
+        if (
+            cells is None
+            or len(cells) != n
+            or (cells.translate(None, valid) if small else not valid.issuperset(cells))
+        ):
+            _refuse_row(row, n, name, x)
+        matrix.append(tuple(cells))
+    return tuple(matrix)
 
 
 _set = object.__setattr__
@@ -164,6 +237,11 @@ class DigroupTable(_Record):
     labels) is enforced at construction time and raises
     :class:`MalformedTableError`.  Whether the tables satisfy the digroup
     axioms is a separate question answered by :func:`validate_digroup`.
+
+    The order, the identity and every table entry must be integers, that is
+    have ``__index__``: ints and bools pass and are stored as exact ints,
+    while a float (even ``1.0``), a string (even ``"1"``) or None raises
+    MalformedTableError naming the field or the first such cell.
     """
 
     order: int
@@ -173,37 +251,19 @@ class DigroupTable(_Record):
     labels: Optional[tuple[str, ...]] = None
 
     def __init__(self, order, identity, left, right, labels=None):
-        _set(self, "order", order)
-        _set(self, "identity", identity)
-        _set(self, "left", _as_matrix(left))
-        _set(self, "right", _as_matrix(right))
+        n = _integer(order, "order")
+        e = _integer(identity, "identity")
+        _set(self, "order", n)
+        _set(self, "identity", e)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
         _set(self, "labels", labels)
-        n = order
         if n < 1:
             raise MalformedTableError(f"order must be >= 1, got {n}")
-        if not (0 <= self.identity < n):
-            raise MalformedTableError(
-                f"identity index {self.identity} out of range for order {n}"
-            )
-        for name, table in (("left", self.left), ("right", self.right)):
-            if len(table) != n:
-                raise MalformedTableError(
-                    f"{name} table must have {n} rows, found {len(table)}"
-                )
-            # built once the table holds n rows, so never larger than the input
-            in_range = frozenset(range(n)).issuperset
-            for x, row in enumerate(table):
-                if len(row) != n:
-                    raise MalformedTableError(
-                        f"{name} table row {x} must have {n} entries, found {len(row)}"
-                    )
-                if not in_range(row):
-                    y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < n)
-                    raise MalformedTableError(
-                        f"entry {v} out of range at {name}[{x}][{y}]"
-                    )
+        if not (0 <= e < n):
+            raise MalformedTableError(f"identity index {e} out of range for order {n}")
+        _set(self, "left", _as_matrix(left, n, "left"))
+        _set(self, "right", _as_matrix(right, n, "right"))
         if self.labels is not None:
             if len(self.labels) != n:
                 raise MalformedTableError(
@@ -264,11 +324,12 @@ class Mapping(_Record):
     image: tuple[int, ...]
 
     def __init__(self, domain_size, codomain_size, image):
-        image = tuple(map(int, image))
-        _set(self, "domain_size", domain_size)
-        _set(self, "codomain_size", codomain_size)
+        n = _integer(domain_size, "domain size")
+        m = _integer(codomain_size, "codomain size")
+        image = _integers(image, "mapping image")
+        _set(self, "domain_size", n)
+        _set(self, "codomain_size", m)
         _set(self, "image", image)
-        n, m = domain_size, codomain_size
         if len(image) != n:
             raise MalformedTableError(
                 f"mapping image has {len(image)} entries, expected {n}"
@@ -315,19 +376,41 @@ def _reindex(table: DigroupTable, members: Sequence[Element]) -> DigroupTable:
     """The table on members[0], members[1], ... relabelled 0, 1, ....  A
     product or identity outside members raises KeyError.
 
-    Each new row is row a of the old table for a in members, its columns
-    picked by one itemgetter and its values relabelled by mapping the
-    position dict's lookup over them, so no cell is visited by Python code.
-    The rows are handed to DigroupTable unbuilt, so the only copy made of
-    them is the table's own."""
-    pos = {x: i for i, x in enumerate(members)}
-    pick = itemgetter(*members)
-    if len(members) == 1:  # itemgetter of one key gives the bare value
-        pick = lambda row, one=pick: (one(row),)
-    relabelled = lambda row: map(pos.__getitem__, pick(row))
-    left, right = (map(relabelled, pick(rows)) for rows in (table.left, table.right))
-    labels = None if table.labels is None else pick(table.labels)
-    return DigroupTable(len(members), pos[table.identity], left, right, labels)
+    Each table is read flat: the rows of the members end to end; then, for
+    each member b, column b of those rows as one stride-n slice, which lays
+    the picked table out transposed; then every m-th cell of that, which
+    gives its rows back.  Up to _BYTE_ORDER the cells are byte strings and
+    one translate relabels them all, a non-member going to 255, which is no
+    label unless all 256 values are members; above it they are tuples
+    relabelled through a position dict.  Either way no cell is visited by
+    Python code, and the rows are handed to DigroupTable as built."""
+    n, m = table.order, len(members)
+    if n <= _BYTE_ORDER:
+        code = bytearray(b"\xff" * 256)
+        for i, x in enumerate(members):
+            code[x] = i
+        kind, join = bytes, b"".join
+
+        def relabel(cells: bytes) -> bytes:
+            cells = cells.translate(code)
+            if m < 256 and 255 in cells:
+                raise KeyError("a value outside the members")
+            return cells
+
+    else:
+        pos = {x: i for i, x in enumerate(members)}
+        kind, join = tuple, lambda parts: tuple(chain.from_iterable(parts))
+        relabel = lambda cells: tuple(map(pos.__getitem__, cells))
+
+    def reindexed(rows):
+        flat = join(map(kind, map(rows.__getitem__, members)))
+        cells = relabel(join([flat[b::n] for b in members]))
+        return [cells[i::m] for i in range(m)]
+
+    (e,) = relabel(kind((table.identity,)))
+    left, right = reindexed(table.left), reindexed(table.right)
+    labels = None if table.labels is None else map(table.labels.__getitem__, members)
+    return DigroupTable(m, e, left, right, labels)
 
 
 def _first_difference(a: bytes, b: bytes) -> int:
@@ -570,18 +653,21 @@ def _pair_table(
     Row (i, j) of a product is, for k = 0, 1, ..., row j of the second
     table shifted by t * s, where t = first[i][k].  The g shifted copies of
     each second row are built once, by mapping an add over the row, and each
-    product row chains the copies that row i of the first table names, so
+    product row joins the copies that row i of the first table names, so
     the g * s * s entries of the copies and the (g * s)^2 cells are all
-    written by C-level maps and chains.  The rows are handed to DigroupTable
-    unbuilt, so the only copy made of them is the table's own."""
+    written by C-level maps and joins.  Up to _BYTE_ORDER the copies are
+    byte strings and a row is one bytes join; above it they are lists, which
+    a row chains.  The rows are handed to DigroupTable unbuilt, so the only
+    copy made of them is the table's own."""
     g, s = len(first_left), len(second_left)
+    # lists, not tuples: freed tuples of under 20 entries stay on CPython's
+    # free list, which would raise the peak of what follows
+    kind, glue = (bytes, b"".join) if g * s <= _BYTE_ORDER else (list, chain.from_iterable)
 
     def rows(first, second):
-        # lists, not tuples: freed tuples of under 20 entries stay on
-        # CPython's free list, which would raise the peak of what follows
-        shifted = [[list(map((t * s).__add__, row)) for t in range(g)] for row in second]
+        shifted = [[kind(map((t * s).__add__, row)) for t in range(g)] for row in second]
         return (
-            chain.from_iterable(map(copies.__getitem__, row))
+            glue(map(copies.__getitem__, row))
             for row in first
             for copies in shifted
         )

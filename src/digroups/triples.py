@@ -51,6 +51,8 @@ from .tables import (
     Violation,
     _Record,
     _VALIDATE_CAP,
+    _integer,
+    _integers,
     _pair_table,
     _require_checkable,
     ensure_valid,
@@ -139,7 +141,7 @@ class TransformSet(_Record):
     @staticmethod
     def from_rows(rows) -> "TransformSet":
         """Build from per-element image rows, deduplicating in first-seen order."""
-        rows = [tuple(map(int, row)) for row in rows]
+        rows = [_integers(row, f"transform rows[{i}]") for i, row in enumerate(rows)]
         if not rows:
             raise MalformedTableError("transform set needs at least one transform")
         n = len(rows[0])
@@ -244,6 +246,8 @@ class StandardTriple(_Record):
     right_unit indexes into semi_part; left_inverse and phi are index maps on
     semi_part (phi lands in group_part).  The left-inverse selection is given
     data, never re-searched; validation checks it satisfies both inverse laws.
+    All three are integers under :class:`DigroupTable`'s contract: a float,
+    a string or None raises MalformedTableError.
     """
 
     carrier_size: int
@@ -254,8 +258,9 @@ class StandardTriple(_Record):
     phi: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "left_inverse", tuple(map(int, self.left_inverse)))
-        object.__setattr__(self, "phi", tuple(map(int, self.phi)))
+        object.__setattr__(self, "right_unit", _integer(self.right_unit, "right unit"))
+        object.__setattr__(self, "left_inverse", _integers(self.left_inverse, "left_inverse"))
+        object.__setattr__(self, "phi", _integers(self.phi, "phi"))
         ng, ns = len(self.group_part), len(self.semi_part)
         if self.group_part.carrier_size != self.carrier_size:
             raise MalformedTableError("group part carrier size mismatch")

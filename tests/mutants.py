@@ -272,8 +272,8 @@ MUTANTS = (
     Mutant(
         "pair table: second rows are shifted by t * g, not t * s",
         TABLES,
-        "list(map((t * s).__add__, row))",
-        "list(map((t * g).__add__, row))",
+        "kind(map((t * s).__add__, row))",
+        "kind(map((t * g).__add__, row))",
         ("tests/test_tables.py::test_pair_table_equals_a_per_cell_reference",),
         "a cell's first component is scaled by the wrong factor when g != s",
     ),
@@ -286,37 +286,98 @@ MUTANTS = (
         "row (i, j) is built at index j * g + i, not i * s + j",
     ),
     Mutant(
+        "byte rows: the boundary is one order too high",
+        TABLES,
+        "_BYTE_ORDER = 256",
+        "_BYTE_ORDER = 257",
+        ("tests/test_tables.py", "-k", "past_order_256"),
+        "an order-257 table holds the entry 256, which no byte string can",
+    ),
+    Mutant(
+        "byte rows: the boundary is one order too low",
+        TABLES,
+        "_BYTE_ORDER = 256",
+        "_BYTE_ORDER = 255",
+        ("tests/test_tables.py", "-k", "past_order_256"),
+        "order-256 tables take the per-cell path, which builds, relabels and "
+        "refuses exactly as the byte path does, only more slowly",
+        equivalent=True,
+    ),
+    Mutant(
         "reindex: the columns are picked in sorted order",
         TABLES,
-        "pick = itemgetter(*members)",
-        "pick = itemgetter(*sorted(members))",
+        "join([flat[b::n] for b in members])",
+        "join([flat[b::n] for b in sorted(members)])",
         ("tests/test_tables.py::test_relabel_equals_a_per_cell_reference",),
         "a relabelled table keeps the old column order",
     ),
     Mutant(
-        "reindex: one member is picked as a bare value",
+        "reindex: the identity keeps its old index",
         TABLES,
-        "if len(members) == 1:  # itemgetter of one key gives the bare value",
-        "if False:",
-        ("tests/test_tables.py::test_reindex_on_one_member",),
-        "the trivial subdigroup and order-1 tables cannot be re-indexed",
+        "(e,) = relabel(kind((table.identity,)))",
+        "e = table.identity",
+        ("tests/test_tables.py::test_relabel_equals_a_per_cell_reference",),
+        "a relabelled table's identity points at another element",
+    ),
+    Mutant(
+        "reindex: a non-member is relabelled 0",
+        TABLES,
+        'code = bytearray(b"\\xff" * 256)',
+        "code = bytearray(256)",
+        ("tests/test_tables.py::test_restrict_refuses_a_subset_that_is_not_closed",),
+        "a product outside the subset gets a label in range, so restrict "
+        "returns a table for a subset that is not closed",
+    ),
+    Mutant(
+        "reindex: the sentinel is not looked for in 255-member tables",
+        TABLES,
+        "if m < 256 and 255 in cells:",
+        "if m < 255 and 255 in cells:",
+        ("tests/test_tables.py", "-k", "not_closed"),
+        "in Z256 restricted to 0..254 the product 1 + 254 is labelled 255, "
+        "one past the last label, and the range check refuses it with the "
+        "wrong error",
     ),
     Mutant(
         "range check: an entry equal to the order passes",
         TABLES,
-        "in_range = frozenset(range(n)).issuperset",
-        "in_range = frozenset(range(n + 1)).issuperset",
+        "valid = bytes(range(n)) if small else frozenset(range(n))",
+        "valid = bytes(range(n + 1)) if small else frozenset(range(n + 1))",
         ("tests/test_tables.py::test_range_error_text_at_the_first_and_last_cell",),
         "a table with an entry n is accepted",
     ),
     Mutant(
         "range check: the valid set is built before the row count is checked",
         TABLES,
-        '        for name, table in (("left", self.left), ("right", self.right)):',
-        "        in_range = frozenset(range(n)).issuperset\n"
-        '        for name, table in (("left", self.left), ("right", self.right)):',
+        "    rows = tuple(rows)\n    if len(rows) != n:",
+        "    rows = tuple(rows)\n    frozenset(range(n))\n    if len(rows) != n:",
         ("tests/test_budgets.py", "-k", "huge_order"),
         "a document that claims a huge order over one row fills memory",
+    ),
+    Mutant(
+        "integer check: table cells are truncated",
+        TABLES,
+        "cells = bytes(row) if small else tuple(map(index, row))",
+        "cells = bytes(map(int, row)) if small else tuple(map(int, row))",
+        ("tests/test_tables.py", "-k", "non_integer"),
+        "0.5 is read as 0 and '1' as 1, as int() reads them",
+    ),
+    Mutant(
+        "integer check: index vectors are truncated",
+        TABLES,
+        "return tuple(map(index, values))",
+        "return tuple(map(int, values))",
+        ("tests/test_records.py", "-k", "reject_bad_input"),
+        "a Mapping image, a transform row, left_inverse or phi takes 0.5 as 0",
+    ),
+    Mutant(
+        "integer check: an int row is read as a length",
+        TABLES,
+        "if type(row) not in _ROW_TYPES:",
+        "if False:",
+        ("tests/test_tables.py", "-k", "any_iterable_type"),
+        "bytes(k) of an int row k is k zero bytes, so a table given a number "
+        "for a row is accepted",
     ),
     Mutant(
         "subdigroups: generated_subdigroup's step omits the Liu inverse",
@@ -379,6 +440,14 @@ MUTANTS = (
         ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
         "a composite outside its part reaches the table builder as None, which "
         "fails with an error that is not a ConstructionError",
+    ),
+    Mutant(
+        "parser: a JSON boolean passes as an integer entry",
+        "src/digroups/fileio.py",
+        "_INTS = frozenset({int})",
+        "_INTS = frozenset({int, bool})",
+        ("tests/test_fileio.py", "-k", "booleans or no_integer"),
+        "a document with true or false in a table row or a vector is read",
     ),
     Mutant(
         "claims: M is compared without canonicalising the entry",

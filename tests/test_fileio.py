@@ -103,6 +103,32 @@ def test_parse_rejects_booleans_as_integers(kind, path):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", [True, 0.5, 1.0, "1", None, [0]])
+@pytest.mark.parametrize(
+    "kind, path, message",
+    [
+        ("digroup", ("left", 0, 0), "field 'left' row 0 must be a list of integers"),
+        ("digroup", ("right", 5, 5), "field 'right' row 5 must be a list of integers"),
+        ("triple", ("semi_part", 2, 0), "field 'semi_part' row 2 must be a list of integers"),
+        ("triple", ("phi", 5), "field 'phi' must be a list of integers"),
+        ("triple", ("left_inverse", 0), "field 'left_inverse' must be a list of integers"),
+    ],
+)
+def test_parse_names_the_field_of_an_entry_that_is_no_integer(bad, kind, path, message):
+    table = builtin("N")
+    if kind == "digroup":
+        doc, parse = json.loads(serialize_digroup(table)), parse_digroup
+    else:
+        doc, parse = json.loads(serialize_triple(triple_from_digroup(table))), parse_triple
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -204,6 +204,11 @@ def test_validating_classes_normalise_their_fields():
     assert type(table.left) is tuple and type(table.left[0]) is tuple
     assert table.labels == ("0", "a")
     assert Mapping(2, 2, [1, 0]).image == (1, 0)
+    # bools are integers, and every field holds exact ints
+    flagged = DigroupTable(2, False, [[False, 0], [True, 1]], [[0, 1], [0, True]], ["0", "a"])
+    assert flagged == table and type(flagged.identity) is int
+    assert {type(v) for row in flagged.left + flagged.right for v in row} == {int}
+    assert type(Mapping(True, 2, [True]).image[0]) is int
     assert SubsetMask(3, [2, 0]).members == frozenset({0, 2})
     triple = triple_from_digroup(builtin("N"))
     listed = StandardTriple(
@@ -237,7 +242,20 @@ BAD_INPUTS = [
     (lambda: DigroupTable(2, 0, ((0, 0), (1, 2)), _M_RIGHT), r"entry 2 out of range at left\[1\]\[1\]"),
     (lambda: DigroupTable(2, 0, _M_LEFT, _M_RIGHT, ("a",)), "labels must have 2 entries, found 1"),
     (lambda: DigroupTable(2, 0, _M_LEFT, _M_RIGHT, ("a", "a")), "labels must be pairwise distinct"),
+    (lambda: DigroupTable(2.0, 0, _M_LEFT, _M_RIGHT), "order must be an integer, got 2.0"),
+    (lambda: DigroupTable(2, 0.0, _M_LEFT, _M_RIGHT), "identity must be an integer, got 0.0"),
+    (lambda: DigroupTable(2, "0", _M_LEFT, _M_RIGHT), "identity must be an integer, got '0'"),
+    (lambda: DigroupTable(2, 0, ((0.5, 0), (1, 1)), _M_RIGHT), r"left\[0\]\[0\] must be an integer, got 0.5"),
+    (lambda: DigroupTable(2, 0, ((0, 0), (1, 1.0)), _M_RIGHT), r"left\[1\]\[1\] must be an integer, got 1.0"),
+    (lambda: DigroupTable(2, 0, _M_LEFT, (("0", 1), (0, 1))), r"right\[0\]\[0\] must be an integer, got '0'"),
+    (lambda: DigroupTable(2, 0, _M_LEFT, ((0, 1), (0, None))), r"right\[1\]\[1\] must be an integer, got None"),
     (lambda: Mapping(3, 3, (0, 1)), "mapping image has 2 entries, expected 3"),
+    (lambda: Mapping(2, 2, (0.5, 1)), r"mapping image\[0\] must be an integer, got 0.5"),
+    (lambda: Mapping(2, 2, (0, 1.0)), r"mapping image\[1\] must be an integer, got 1.0"),
+    (lambda: Mapping(2, 2, ("1", 0)), r"mapping image\[0\] must be an integer, got '1'"),
+    (lambda: Mapping(2, 2, (1, None)), r"mapping image\[1\] must be an integer, got None"),
+    (lambda: Mapping(2.0, 2, (0, 1)), "domain size must be an integer, got 2.0"),
+    (lambda: Mapping(2, "2", (0, 1)), "codomain size must be an integer, got '2'"),
     (lambda: Mapping(2, 2, (0, -1)), r"mapping image\[1\] = -1 out of range"),
     (lambda: SubsetMask(3, {0, 3}), "subset member 3 out of range"),
     (lambda: SubsetMask(3, {-1}), "subset member -1 out of range"),
@@ -258,6 +276,13 @@ BAD_INPUTS = [
     (lambda: _triple_with(right_unit=6), "right unit index out of range"),
     (lambda: _triple_with(left_inverse=(0,)), "left inverse map must index the semi part"),
     (lambda: _triple_with(phi=(9,) * 6), "phi must map semi indices to group indices"),
+    (
+        lambda: TransformSet.from_rows([(0, 1), (1, 0.5)]),
+        r"transform rows\[1\]\[1\] must be an integer, got 0.5",
+    ),
+    (lambda: _triple_with(right_unit=0.0), "right unit must be an integer, got 0.0"),
+    (lambda: _triple_with(left_inverse=("0",) * 6), r"left_inverse\[0\] must be an integer, got '0'"),
+    (lambda: _triple_with(phi=(0,) * 5 + (None,)), r"phi\[5\] must be an integer, got None"),
 ]
 
 

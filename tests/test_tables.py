@@ -291,6 +291,47 @@ def test_range_error_text_at_the_first_and_last_cell(bad, name, x, y):
     assert str(exc.value) == f"entry {bad} out of range at {name}[{x}][{y}]"
 
 
+# Entries that are no integers: a table refuses each rather than truncating
+# or parsing it.
+_NON_INTEGERS = (0.5, 1.0, "1", None)
+
+
+@pytest.mark.parametrize("bad", _NON_INTEGERS)
+@pytest.mark.parametrize("name, x, y", _BAD_CELLS)
+@pytest.mark.parametrize("n", (3, 257))
+def test_non_integer_error_text_at_the_first_and_last_cell(bad, name, x, y, n):
+    """Order 3 reads rows as bytes, order 257 cell by cell."""
+    x, y = x * (n - 1) // 2, y * (n - 1) // 2
+    rows = {side: [[(a + b) % n for b in range(n)] for a in range(n)] for side in ("left", "right")}
+    rows[name][x][y] = bad
+    with pytest.raises(MalformedTableError) as exc:
+        DigroupTable(n, 0, rows["left"], rows["right"])
+    assert str(exc.value) == f"{name}[{x}][{y}] must be an integer, got {bad!r}"
+
+
+def test_the_first_fault_in_row_order_is_reported():
+    # row 0 holds a non-integer after an out-of-range entry; row 1 is short
+    left = [[0, 7, 0.5], [1, 2], [2, 0, 1]]
+    with pytest.raises(MalformedTableError, match=r"^entry 7 out of range at left\[0\]\[1\]$"):
+        DigroupTable(3, 0, left, left)
+    left[0] = [0, "1", 9]
+    with pytest.raises(MalformedTableError, match=r"^left\[0\]\[1\] must be an integer"):
+        DigroupTable(3, 0, left, left)
+    left[0] = [0, 1, 2]
+    with pytest.raises(MalformedTableError, match="^left table row 1 must have 3 entries, found 2$"):
+        DigroupTable(3, 0, left, left)
+
+
+def test_rows_of_any_iterable_type_are_read_as_integers():
+    z3 = cyclic_group(3)
+    rows = (range(0, 3), iter((1, 2, 0)), bytearray(b"\x02\x00\x01"))
+    right = ([(x + y) % 3 for y in range(3)] for x in range(3))
+    assert DigroupTable(3, 0, rows, right) == z3
+    # a row is never read as a length, as bytes(1) = b"\x00" would read it
+    with pytest.raises(TypeError):
+        DigroupTable(1, 0, (1,), ((0,),))
+
+
 @pytest.mark.parametrize("bad", _BAD_ENTRIES)
 @pytest.mark.parametrize("x", (0, 2))
 def test_mapping_range_error_text_at_the_first_and_last_entry(bad, x):
@@ -341,6 +382,21 @@ def test_direct_product_past_order_256_equals_a_per_cell_reference():
     expected = _pair_reference(z20.left, z20.right, z20.left, z20.right, identity)
     assert (prod.order, prod.identity, prod.left, prod.right) == expected
     assert prod.order == 400 and prod.left[399][399] == 18 * 20 + 18
+
+
+@pytest.mark.parametrize("g, s", [(16, 16), (1, 257), (257, 1), (20, 20)])
+def test_pair_table_and_relabel_at_and_past_order_256_equal_per_cell_references(g, s):
+    """Order 256 is the largest built as byte rows; 257 and 400 are built
+    from lists and tuples."""
+    first, second = cyclic_group(g), trivial_digroup(s)
+    prod = direct_product(first, second)
+    identity = (first.identity, second.identity)
+    expected = _pair_reference(first.left, first.right, second.left, second.right, identity)
+    assert (prod.order, prod.identity, prod.left, prod.right) == expected
+    image = list(range(prod.order))
+    random.Random(g * 1000 + s).shuffle(image)
+    moved = relabel(prod, Mapping(prod.order, prod.order, tuple(image)))
+    assert moved == _relabel_reference(prod, image)
 
 
 def _relabel_reference(table, image):
@@ -416,6 +472,14 @@ def test_restrict_refuses_a_subset_that_is_not_closed():
             restrict(n, subset)
     with pytest.raises(MalformedTableError, match="requires the identity"):
         restrict(n, {1})
+
+
+@pytest.mark.parametrize("n, subset", [(256, range(255)), (256, (0, 200)), (257, (0, 1))])
+def test_restrict_refuses_a_subset_that_is_not_closed_at_and_past_order_256(n, subset):
+    # in Z256, 1 + 254 = 255 lies outside 0..254, the largest subset whose
+    # labels leave out 255
+    with pytest.raises(MalformedTableError, match="^subset is not closed under the products$"):
+        restrict(cyclic_group(n), set(subset))
 
 
 def test_direct_product_properties(m_table):
