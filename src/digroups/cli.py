@@ -28,7 +28,10 @@ from .tables import (
 )
 
 OK, PROPERTY_FALSE, USAGE_ERROR = 0, 1, 2
-_ISO_CAP = 16  # find_isomorphism, Z2^5 vs Z4 x Z2^3: 5 s; Z2^6 vs Z4 x Z2^4: over 90 s
+# find_isomorphism on Z2 x J with one against two pairs of J swapped, whose
+# core element orders agree: 0.5 s at order 16, 5.4 s at 18, 59 s at 20
+# (in-process, 2-vCPU host)
+_ISO_CAP = 16
 
 
 class _PropertyFalse(Exception):

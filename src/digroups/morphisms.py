@@ -275,15 +275,32 @@ def _canonical_relabelings(table: DigroupTable) -> tuple[DigroupTable, list[byte
     return DigroupTable(n, 0, image.left, image.right), sorted(ties)
 
 
+def _core_orders(table: DigroupTable) -> list[int]:
+    """The orders of e⇀x in the core {e⇀y} under ⇀, one per element x,
+    sorted: the number of ⇀ powers of e⇀x up to the first that is e, or 0 if
+    none within n is.  An isomorphism f sends e⇀x to e′⇀f(x) and powers to
+    powers, so isomorphic tables have equal lists.  In a digroup the count
+    of 1s is the fiber size, so equal lists also mean equal core sizes."""
+    e, left = table.identity, table.left
+    row, order = left[e], {}
+    for y in set(row):
+        p, k = y, 1
+        while p != e and k <= table.order:
+            p, k = left[p][y], k + 1
+        order[y] = k if p == e else 0
+    return sorted(map(order.__getitem__, row))
+
+
 def find_isomorphism(d1: DigroupTable, d2: DigroupTable) -> Optional[Mapping]:
     """A bijective homomorphism d1 -> d2 if one exists, else None.
 
     Backtracking over images in ascending order with forced-product
     propagation: once m[x] and m[y] are set, m[x*y] is forced for both
-    products.  The mapping returned is the lexicographically least.
+    products.  The mapping returned is the lexicographically least.  Tables
+    whose cores differ in their element orders are refused before any
+    backtracking.
     """
-    # f(e⇀x) = e′⇀f(x), so an isomorphism maps the core {e⇀x} onto the core.
-    if d1.order != d2.order or len(set(d1.left[d1.identity])) != len(set(d2.left[d2.identity])):
+    if d1.order != d2.order or _core_orders(d1) != _core_orders(d2):
         return None
     n = d1.order
     image = [-1] * n

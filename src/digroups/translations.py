@@ -31,9 +31,16 @@ The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, read off the columns, and the pair-table builder fills the
 mirrored product from their index tables, transposed, with the components
-swapped.  Both products are verified alike: the product passes the axiom
-check and eta is an injective homomorphism onto a subdigroup, which also
-proves the source a digroup.
+swapped.  Both products are verified alike, by the source and not by the
+product: the source, of order n, must pass the axiom check (n³ triples),
+which the product, of order up to n², would cost n⁶.  The chain of proof:
+the source is a digroup, so its left translations form a standard triple
+(the source paper's first theorem, whose laws the identity suite checks);
+the left product is that triple's pair table, a digroup by the proof in the
+triples module.  The right product is the left product of the opposite
+digroup, which is a digroup too, taken opposite with the components
+swapped, so it is one as well.  Then eta is checked to be an injective
+homomorphism onto a subdigroup.
 """
 
 from __future__ import annotations
@@ -194,12 +201,14 @@ def _embedded(
     second: TransformSet,
     what: str,
 ) -> ProductDigroup:
-    """The validated pair table on (first) x (second) with the verified
-    diagonal embedding a -> (first label of a, second label of a)."""
+    """The pair table on (first) x (second) with the verified diagonal
+    embedding a -> (first label of a, second label of a).  The source must
+    pass the axiom check; the product is then a digroup by the module
+    docstring's chain of proof, so it is not checked itself."""
     try:
-        ensure_valid(product)
+        ensure_valid(source)
     except ConstructionError as exc:
-        raise ConstructionError(f"{what} product is not a digroup: {exc}") from exc
+        raise ConstructionError(f"{what} product needs a digroup source: {exc}") from exc
     n, s = source.order, len(second)
     pair_labels = tuple((i, j) for i in range(len(first)) for j in range(s))
     eta_image = tuple(first.label_of(a) * s + second.label_of(a) for a in range(n))
@@ -217,8 +226,9 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
 
     Pairs are indexed (i, j) -> i * |semi| + j.  The left product composes
     both components; the right product composes first components and sets the
-    second to phi(f)∘g.  The product must pass the axiom checker, and eta must
-    be an injective homomorphism whose image is a subdigroup, hence an
+    second to phi(f)∘g.  The source must pass the axiom checker, which
+    makes the product a digroup (see the module docstring), and eta must be
+    an injective homomorphism whose image is a subdigroup, hence an
     isomorphism of the source onto the diagonal; both are verified here.
     """
     e = table.identity
@@ -229,8 +239,7 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
     # An injective homomorphism whose image is a subdigroup is an isomorphism
-    # onto that subdigroup, so these three checks prove the embedding (and,
-    # into a validated product, that the source is a digroup).
+    # onto that subdigroup, so these three checks prove the embedding.
     if len(set(prod.eta.image)) != source.order:
         raise ConstructionError(f"{what}: embedding is not injective")
     if not is_homomorphism(source, prod.table, prod.eta):
@@ -264,8 +273,10 @@ def right_translation_product(table: DigroupTable) -> ProductDigroup:
     opposite of the opposite digroup's left product with the components
     swapped, filled directly from the right translation sets' index tables,
     transposed: ⇀ takes phi(f)∘g and ↼ takes f∘g in the first component, both
-    take α∘β in the second.  The result must pass the axiom checker and carry
-    the diagonal embedding a -> (semi label of a, group label of a).
+    take α∘β in the second.  The source must pass the axiom checker, which
+    makes the result a digroup (see the module docstring), and the result
+    must carry the diagonal embedding a -> (semi label of a, group label of
+    a).
     """
     e = table.identity
     group, semi = pair = right_translations(table)

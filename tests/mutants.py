@@ -442,6 +442,35 @@ MUTANTS = (
         "fails with an error that is not a ConstructionError",
     ),
     Mutant(
+        "translations: the source of a product is not checked",
+        "src/digroups/translations.py",
+        "        ensure_valid(source)\n",
+        "        pass\n",
+        ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
+        "a product is built for a source that is no digroup, and nothing "
+        "else checks that the product is one",
+    ),
+    Mutant(
+        "triples: a triple that fails validation is built",
+        TRIPLES,
+        "    if not report.ok:\n        raise TripleValidationError(",
+        "    if False:\n        raise TripleValidationError(",
+        ("tests/test_triples.py",),
+        "the table of a triple that is no standard triple is returned unchecked",
+    ),
+    Mutant(
+        "triples: the pair table's identity has its components swapped",
+        TRIPLES,
+        "return _pair_table(first, first, second, mixed, (ident, right_unit))",
+        "return _pair_table(first, first, second, mixed, (right_unit, ident))",
+        (
+            "tests/test_translations.py::test_products_of_digroups_pass_the_axiom_check",
+            "tests/test_triples.py::test_every_triple_that_passes_builds_a_digroup",
+        ),
+        "the identity is (right unit, identity transform), which the product "
+        "check on the built tables refuses wherever the two indices differ",
+    ),
+    Mutant(
         "parser: a JSON boolean passes as an integer entry",
         "src/digroups/fileio.py",
         "_INTS = frozenset({int})",

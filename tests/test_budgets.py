@@ -56,10 +56,10 @@ BUDGETS = [
     (["check", "z200.json"], 0, 5, 128),  # 0.22 s
     (["info", "trivial16.json"], 0, 10, 256),  # 0.89 s, 2^16 subsets
     (["subs", "trivial16.json"], 0, 10, 256),  # 1.26 s
-    (["embed", "z14.json"], 0, 5, 128),  # 0.23 s, product order 196
+    (["embed", "z14.json"], 0, 5, 128),  # 0.09 s, product order 196, source checked
     (["triple", "extract", "z200.json"], 0, 5, 128),  # 0.27 s
     (["triple", "check", "z200_triple.json"], 0, 5, 128),  # 0.34 s
-    (["triple", "build", "z14_triple.json"], 0, 5, 128),  # 0.22 s
+    (["triple", "build", "z14_triple.json"], 0, 5, 128),  # 0.09 s, triple checked
     (["triple", "build", "z200_triple.json"], 2, 5, 128),  # 0.18 s, product 40,000 refused
     (["builtin", "Z200"], 0, 5, 128),  # 0.12 s
     (["enumerate", "6"], 0, 5, 128),  # 0.14 s

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,3 +332,40 @@ def test_canonical_form_branch_counts_are_pinned(name, image, branches, monkeypa
     table = dihedral_8() if name == "D4" else builtin(name)
     canonical_form(relabel(table, Mapping(8, 8, image)))
     assert calls == branches
+
+
+def _product_of(*names):
+    table = builtin(names[0])
+    for name in names[1:]:
+        table = direct_product(table, builtin(name))
+    return table
+
+
+def test_unequal_core_orders_are_refused_before_backtracking():
+    # Z2^5 has no element of order 4 and Z4 x Z2^3 has sixteen; the
+    # backtracking alone takes seconds to refuse this pair
+    a = _product_of(*["Z2"] * 5)
+    b = _product_of("Z4", *["Z2"] * 3)
+    start = time.perf_counter()
+    assert find_isomorphism(a, b) is None
+    assert find_isomorphism(b, a) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def test_core_order_check_changes_no_result(reference_classes, monkeypatch):
+    # every ordered pair of relabelled classes of orders 1-6, against the
+    # backtracking with the check switched off
+    rng = random.Random("core-orders")
+    tables = []
+    for entry in reference_classes:
+        if entry.order <= 6:
+            n = entry.order
+            for _ in range(2):
+                images = list(range(n))
+                rng.shuffle(images)
+                tables.append(relabel(entry.canonical, Mapping(n, n, tuple(images))))
+    pairs = [(a, b) for a in tables for b in tables]
+    got = [find_isomorphism(a, b) for a, b in pairs]
+    monkeypatch.setattr("digroups.morphisms._core_orders", lambda table: [])
+    assert got == [find_isomorphism(a, b) for a, b in pairs]
+    assert len(pairs) == 34**2 and sum(m is not None for m in got) == 17 * 4

@@ -362,6 +362,45 @@ def test_no_invalid_source_yields_a_product(reference_classes):
                 build(table)
 
 
+def _product_oracle_sources(reference_classes):
+    """Every class of orders 1-8 with three seeded relabellings of each,
+    Z14, and seeded direct products of classes whose translation products
+    have order <= 200."""
+    rng = random.Random("product-oracle")
+    tables = [builtin("Z14")]
+    for entry in reference_classes:
+        table, n = entry.canonical, entry.order
+        tables.append(table)
+        for _ in range(3):
+            images = list(range(n))
+            rng.shuffle(images)
+            tables.append(relabel(table, Mapping(n, n, tuple(images))))
+    factors = [entry.canonical for entry in reference_classes[1:]]
+    products = 0
+    while products < 10:
+        table = direct_product(*rng.sample(factors, 2))
+        sizes = [len(p) for p in (*left_translations(table), *right_translations(table))]
+        if sizes[0] * sizes[1] <= 200 and sizes[2] * sizes[3] <= 200:
+            tables.append(table)
+            products += 1
+    return tables
+
+
+def test_products_of_digroups_pass_the_axiom_check(reference_classes):
+    # The constructions check the source, not the product; this runs the
+    # product check they skip.
+    tables = _product_oracle_sources(reference_classes)
+    assert len(tables) == 1 + 4 * 29 + 10
+    assert max(t.order for t in tables) == 42
+    for table in tables:
+        for product in (
+            cayley_embedding(table).table,
+            right_translation_product(table).table,
+            digroup_from_triple(triple_from_digroup(table)),
+        ):
+            assert validate_digroup(product).ok, serialize_digroup(table)
+
+
 def test_verify_embedding_rejects_a_broken_embedding(n_table):
     prod = cayley_embedding(n_table)
     n, size = n_table.order, prod.table.order

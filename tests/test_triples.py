@@ -1,6 +1,7 @@
 """Standard triples: extraction, validation, and the pair digroup."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -347,3 +348,76 @@ def test_validate_triple_matches_the_compose_oracle(catalogs):
             assert report == _reference_triple_report(t)
             failing += not report.ok
     assert failing == 20 * (len(tables) - 1)
+
+
+def _widened(triple):
+    """The triple with every permutation of the carrier as its group part.
+    No law asks more of the group part than to be a group holding phi's
+    image, so this is a standard triple, and no digroup's translation triple
+    once the group part outgrows that image."""
+    n = triple.carrier_size
+    group = TransformSet.from_rows(itertools.permutations(range(n)))
+    phi = [group.index_of(triple.group_part.transforms[k]) for k in triple.phi]
+    return StandardTriple(
+        n, group, triple.semi_part, triple.right_unit, triple.left_inverse, phi
+    )
+
+
+def _corrupted_indices(t, rng, count):
+    """Corruptions of one index each: a phi value, the right unit or a
+    left-inverse entry.  The semi part must have two members or more."""
+    ng, ns, out = len(t.group_part), len(t.semi_part), []
+
+    def other(old, size):
+        return rng.choice([v for v in range(size) if v != old])
+
+    while len(out) < count:
+        phi, unit, linv = list(t.phi), t.right_unit, list(t.left_inverse)
+        kind, j = rng.choice(("phi", "unit", "left inverse")), rng.randrange(ns)
+        if kind == "phi":
+            if ng == 1:
+                continue
+            phi[j] = other(phi[j], ng)
+        elif kind == "unit":
+            unit = other(unit, ns)
+        else:
+            linv[j] = other(linv[j], ns)
+        out.append(StandardTriple(t.carrier_size, t.group_part, t.semi_part, unit, linv, phi))
+    return out
+
+
+def test_every_triple_that_passes_builds_a_digroup(reference_classes):
+    # digroup_from_triple checks the triple, not the table; this runs the
+    # table check it skips, on translation triples, on widened triples, and
+    # on seeded corruptions of both.  Only this direction is
+    # asserted: a corrupted left-inverse entry fails the triple check and
+    # still builds a digroup.
+    triples = [triple_from_digroup(e.canonical) for e in reference_classes[1:]]
+    triples += [
+        _widened(triple_from_digroup(e.canonical))
+        for e in reference_classes[1:]
+        if e.order <= 4
+    ]
+    rng = random.Random("triple-soundness")
+    tried = passed = 0
+    for triple in triples:
+        corrupted = _corrupted_triples(triple, rng, 10) + _corrupted_indices(triple, rng, 15)
+        for t in [triple] + corrupted:
+            tried += 1
+            if validate_triple(t).ok:
+                passed += 1
+                table = tr._triple_table(t.group_part, t.semi_part, t.phi, t.right_unit)
+                assert validate_digroup(table).ok
+    # no corruption passes: the 36 that pass are the uncorrupted triples
+    assert (len(triples), tried, passed) == (36, 36 * 26, 36)
+
+
+def test_a_wrong_left_inverse_fails_the_triple_yet_builds_the_same_table(n_table):
+    # why only one direction of the proof is asserted above
+    t = triple_from_digroup(n_table)
+    linv = list(t.left_inverse)
+    linv[1] = linv[0]
+    broken = StandardTriple(t.carrier_size, t.group_part, t.semi_part, t.right_unit, linv, t.phi)
+    assert not validate_triple(broken).ok
+    table = tr._triple_table(broken.group_part, broken.semi_part, broken.phi, broken.right_unit)
+    assert table == digroup_from_triple(t)
