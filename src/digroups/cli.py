@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import fileio
 from .tables import (
+    ConstructionError,
     DigroupError,
     DigroupTable,
     UnsupportedOrderError,
@@ -125,7 +126,16 @@ def _cmd_iso(args) -> None:
 def _cmd_embed(args) -> None:
     from .translations import cayley_embedding
 
-    prod = cayley_embedding(_load_valid_digroup(args.file))
+    table = fileio.parse_digroup(_read(args.file))
+    try:
+        prod = cayley_embedding(table)
+    except ConstructionError:
+        # The construction checks its source first, so only a source that is
+        # no digroup is validated a second time, for its report.
+        report = validate_digroup(table)
+        if report.ok:  # a fault past the source check
+            raise
+        _print_report(report)  # raises _PropertyFalse
     _write_out(fileio.serialize_embedding(prod), args.out)
 
 

@@ -25,6 +25,7 @@ from .tables import (
     UnsupportedOrderError,
     _Record,
     _close,
+    _integers,
     _reindex,
     liu_inverse_map,
     validate_digroup,
@@ -34,13 +35,15 @@ _SUBSET_SCAN_CAP = 16  # exhaustive subset scans stop at 2^16 subsets
 
 
 class SubsetMask(_Record):
-    """A subset of the carrier of a digroup of the given order."""
+    """A subset of the carrier of a digroup of the given order.  Members are
+    integers under :class:`DigroupTable`'s contract: a float, a string or
+    None raises MalformedTableError."""
 
     order: int
     members: frozenset[Element]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
+        object.__setattr__(self, "members", frozenset(_integers(self.members, "subset members")))
         for x in self.members:
             if not (0 <= x < self.order):
                 raise MalformedTableError(f"subset member {x} out of range")

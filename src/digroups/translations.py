@@ -20,13 +20,13 @@ digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
 The two sets with phi are the digroup's standard triple, and the triples
 module owns that layer: ``TransformSet``, the extraction of the left parts,
-phi, composition and the pair-digroup builder, which refuses a product
-beyond the axiom check's order cap before building any table.  This module
-imports them and adds what reads a digroup's products: the translation
-sets as ``TranslationPair``s, the identity suite, both products and their
-embeddings.  The identity suite checks only the laws that read the
-digroup's products or Liu inverses, then appends ``validate_triple``'s
-violations on the extracted triple; both record through one collector.
+phi, composition, the product order cap and the pair-digroup builder, which
+trusts its caller.  This module imports them and adds what reads a
+digroup's products: the translation sets as ``TranslationPair``s, the
+identity suite, both products and their embeddings.  The identity suite
+checks only the laws that read the digroup's products or Liu inverses, then
+appends ``validate_triple``'s violations on the extracted triple; both
+record through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, read off the columns, and the pair-table builder fills the
@@ -40,12 +40,14 @@ the left product is that triple's pair table, a digroup by the proof in the
 triples module.  The right product is the left product of the opposite
 digroup, which is a digroup too, taken opposite with the components
 swapped, so it is one as well.  Then eta is checked to be an injective
-homomorphism onto a subdigroup.
+homomorphism onto a subdigroup.  So each product checks its source first,
+then refuses a product beyond the axiom check's order cap, and only then
+builds a table: a source that is no digroup never reaches the builder.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .morphisms import is_homomorphism
 from .subdigroups import SubsetMask, is_subdigroup
@@ -67,6 +69,7 @@ from .triples import (
     _index_tables,
     _left_parts,
     _phi,
+    _require_product_checkable,
     _triple_table,
     triple_from_digroup,
     validate_triple,
@@ -195,20 +198,19 @@ class ProductDigroup(_Record):
 
 
 def _embedded(
-    source: DigroupTable,
-    product: DigroupTable,
-    first: TransformSet,
-    second: TransformSet,
-    what: str,
+    source: DigroupTable, first: TransformSet, second: TransformSet, what: str, build: Callable
 ) -> ProductDigroup:
-    """The pair table on (first) x (second) with the verified diagonal
-    embedding a -> (first label of a, second label of a).  The source must
-    pass the axiom check; the product is then a digroup by the module
+    """The pair table on (first) x (second), made by ``build``, with the
+    verified diagonal embedding a -> (first label of a, second label of a).
+    The source must pass the axiom check and the product the order cap
+    before ``build`` runs; the product is then a digroup by the module
     docstring's chain of proof, so it is not checked itself."""
     try:
         ensure_valid(source)
     except ConstructionError as exc:
         raise ConstructionError(f"{what} product needs a digroup source: {exc}") from exc
+    _require_product_checkable(first, second)
+    product = build()
     n, s = source.order, len(second)
     pair_labels = tuple((i, j) for i in range(len(first)) for j in range(s))
     eta_image = tuple(first.label_of(a) * s + second.label_of(a) for a in range(n))
@@ -233,8 +235,11 @@ def translation_product_digroup(table: DigroupTable) -> ProductDigroup:
     """
     e = table.identity
     group, semi = pair = left_translations(table)
-    product = _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
-    return _embedded(table, product, group, semi, "left translation")
+
+    def build() -> DigroupTable:
+        return _triple_table(group, semi, _phi(pair, e).image, semi.label_of(e))
+
+    return _embedded(table, group, semi, "left translation", build)
 
 
 def _verify_embedding(source: DigroupTable, prod: ProductDigroup, what: str) -> None:
@@ -280,8 +285,12 @@ def right_translation_product(table: DigroupTable) -> ProductDigroup:
     """
     e = table.identity
     group, semi = pair = right_translations(table)
-    ident, first, second, mixed = _index_tables(group, semi, _phi(pair, e).image)
-    mixed_t, second_t, first_t = (list(zip(*t)) for t in (mixed, second, first))
-    unit = (semi.label_of(e), ident)
-    product = _pair_table(mixed_t, second_t, first_t, first_t, unit)
-    return _embedded(table, product, semi, group, "right translation")
+
+    def build() -> DigroupTable:
+        tables = _index_tables(group, semi, _phi(pair, e).image)
+        first_t, second_t, mixed_t = (list(zip(*t)) for t in tables)
+        # x ⇀ e = x, so the group part's transform of e is the identity
+        unit = (semi.label_of(e), group.label_of(e))
+        return _pair_table(mixed_t, second_t, first_t, first_t, unit)
+
+    return _embedded(table, semi, group, "right translation", build)

@@ -31,8 +31,7 @@ products agree exactly when their components agree.  Write x = (α, f),
 y = (β, g), z = (γ, h).
 
   Well-defined.  α∘β ∈ G (GROUP_CLOSURE), f∘g ∈ S (SEMI_CLOSURE) and
-    phi(f)∘g ∈ S (PHI_ABSORB), so both products land on pairs; the builder
-    refuses a triple that lacks any of these composites.
+    phi(f)∘g ∈ S (PHI_ABSORB), so both products land on pairs.
   First components.  Both products compose them, so each side of DIASSOC_1
     to DIASSOC_5 has first component α∘β∘γ.  Second components:
   DIASSOC_1  x⇀(y⇀z) = (x⇀y)⇀z:  f∘(g∘h) = (f∘g)∘h by associativity.
@@ -66,10 +65,13 @@ This module owns that idea whole and reads only the table layer.  A
 composes them as byte strings with ``bytes.translate``.  One composition
 table, the index of f∘h for every pair of members with None where f∘h falls
 outside its part, serves both the closure laws of ``validate_triple``, which
-report the first missing composite, and the pair-table builder, which
-refuses any.  The translation module builds its products and its identity
-suite on the same extraction, composition and builder, so each law code
-has one meaning across both modules.
+report the first missing composite, and the pair-table builder.  The
+builder refuses nothing: every construction checks the triple, or the
+digroup the triple comes from, before it builds, and a triple that passes
+lacks no composite and holds the identity transform.  The translation
+module builds its products and its identity suite on the same extraction,
+composition and builder, so each law code has one meaning across both
+modules.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .tables import (
-    ConstructionError,
     DigroupError,
     DigroupTable,
     Element,
@@ -228,14 +229,6 @@ def _first_missing(table) -> Optional[tuple[int, int]]:
     return next(((i, row.index(None)) for i, row in enumerate(table) if None in row), None)
 
 
-def _closed_table(afters, ts: TransformSet, error: str) -> list[list[int]]:
-    """The composition table, which must lack no composite."""
-    table = _composition_table(afters, ts)
-    if _first_missing(table) is not None:
-        raise ConstructionError(error)
-    return table
-
-
 def _require_product_checkable(group: TransformSet, semi: TransformSet) -> None:
     """Refuse a pair product beyond the axiom check's order cap.  The
     constructions do not run that check on their product, but each product
@@ -247,31 +240,28 @@ def _require_product_checkable(group: TransformSet, semi: TransformSet) -> None:
 
 
 def _index_tables(group: TransformSet, semi: TransformSet, phi: Sequence[int]):
-    """What the pair digroup of standard-triple data is filled from: the
-    index of the identity transform in the group part, and the index tables
-    of α∘β (group part), f∘g (semi part) and phi(f)∘g (semi part).  Products
-    beyond the axiom check's cap are refused before any table is built."""
-    _require_product_checkable(group, semi)
-    ident = group._index.get(bytes(range(group.carrier_size)))
-    if ident is None:
-        raise ConstructionError("group part lacks the identity transform")
-    first, second = (
-        _closed_table(ts._after, ts, f"{what} not closed under composition")
-        for ts, what in ((group, "group part"), (semi, "semi part"))
+    """The index tables of α∘β (group part), f∘g (semi part) and phi(f)∘g
+    (semi part), None where a composite lies outside its part.  They fill
+    the pair digroup, whose callers check the triple or its source first, so
+    that every composite is present, and they hold |G|² + 2·|S|² cells
+    whatever the product's order."""
+    return (
+        _composition_table(group._after, group),
+        _composition_table(semi._after, semi),
+        _composition_table([group._after[pj] for pj in phi], semi),
     )
-    absorb = "phi image does not absorb into the semi part"
-    mixed = _closed_table([group._after[pj] for pj in phi], semi, absorb)
-    return ident, first, second, mixed
 
 
 def _triple_table(
     group: TransformSet, semi: TransformSet, phi: Sequence[int], right_unit: int
 ) -> DigroupTable:
-    """The unvalidated pair digroup of standard-triple data: pairs (i, j) of
-    group and semi indices, the left product composing both components, the
-    right product composing first components and setting the second to
-    phi(f)∘g, identity (identity transform, right unit)."""
-    ident, first, second, mixed = _index_tables(group, semi, phi)
+    """The unvalidated pair digroup of standard-triple data that passes
+    ``validate_triple``: pairs (i, j) of group and semi indices, the left
+    product composing both components, the right product composing first
+    components and setting the second to phi(f)∘g, identity (identity
+    transform, right unit)."""
+    first, second, mixed = _index_tables(group, semi, phi)
+    ident = group._index[bytes(range(group.carrier_size))]
     return _pair_table(first, first, second, mixed, (ident, right_unit))
 
 
@@ -334,9 +324,7 @@ def validate_triple(triple: StandardTriple) -> ValidationReport:
     unit = S[eu]
     phis = [G[k] for k in triple.phi]
     # The indices of α∘β, f∘h and phi(f)∘h, None outside the part.
-    group = _composition_table(GA, g)
-    semi = _composition_table(SA, s)
-    mixed = _composition_table([GA[k] for k in triple.phi], s)
+    group, semi, mixed = _index_tables(g, s, triple.phi)
 
     found: dict[str, Violation] = {}
 

@@ -433,15 +433,6 @@ MUTANTS = (
         "last witness, not the first",
     ),
     Mutant(
-        "triples: the pair builder accepts a missing composite",
-        TRIPLES,
-        "    if _first_missing(table) is not None:\n        raise ConstructionError(error)",
-        "    if False:\n        raise ConstructionError(error)",
-        ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
-        "a composite outside its part reaches the table builder as None, which "
-        "fails with an error that is not a ConstructionError",
-    ),
-    Mutant(
         "translations: the source of a product is not checked",
         "src/digroups/translations.py",
         "        ensure_valid(source)\n",
@@ -449,6 +440,31 @@ MUTANTS = (
         ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
         "a product is built for a source that is no digroup, and nothing "
         "else checks that the product is one",
+    ),
+    Mutant(
+        "translations: a product is built before its source is checked",
+        "src/digroups/translations.py",
+        "    try:\n        ensure_valid(source)\n",
+        "    build()\n    try:\n        ensure_valid(source)\n",
+        ("tests/test_translations.py::test_no_invalid_source_yields_a_product",),
+        "the builder trusts its caller, so a source that is no digroup reaches "
+        "it and is refused, if at all, in the builder's words",
+    ),
+    Mutant(
+        "cli: embed validates its source before the construction does",
+        "src/digroups/cli.py",
+        "        prod = cayley_embedding(table)",
+        "        prod = cayley_embedding(_load_valid_digroup(args.file))",
+        ("tests/test_cli.py::test_embed_validates_its_source_once",),
+        "a valid source is validated twice",
+    ),
+    Mutant(
+        "subdigroups: subset members are read with int()",
+        "src/digroups/subdigroups.py",
+        'frozenset(_integers(self.members, "subset members"))',
+        "frozenset(map(int, self.members))",
+        ("tests/test_records.py::test_validating_classes_reject_bad_input",),
+        "0.9 reads as the identity and the string 1 as element 1",
     ),
     Mutant(
         "triples: a triple that fails validation is built",

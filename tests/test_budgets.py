@@ -41,6 +41,7 @@ _INPUTS = {
     "trivial2_trivial8.json": lambda: serialize_digroup(
         direct_product(trivial_digroup(2), trivial_digroup(8))
     ),
+    "trivial200.json": lambda: serialize_digroup(trivial_digroup(200)),
     "trivial18.json": lambda: serialize_digroup(trivial_digroup(18)),
     "z2_trivial9.json": lambda: serialize_digroup(
         direct_product(builtin("Z2"), trivial_digroup(9))
@@ -57,6 +58,7 @@ BUDGETS = [
     (["info", "trivial16.json"], 0, 10, 256),  # 0.89 s, 2^16 subsets
     (["subs", "trivial16.json"], 0, 10, 256),  # 1.26 s
     (["embed", "z14.json"], 0, 5, 128),  # 0.09 s, product order 196, source checked
+    (["embed", "trivial200.json"], 0, 5, 128),  # 0.19 s, product order 200, source checked once
     (["triple", "extract", "z200.json"], 0, 5, 128),  # 0.27 s
     (["triple", "check", "z200_triple.json"], 0, 5, 128),  # 0.34 s
     (["triple", "build", "z14_triple.json"], 0, 5, 128),  # 0.09 s, triple checked

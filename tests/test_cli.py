@@ -24,6 +24,7 @@ from digroups import (
     trivial_digroup,
     validate_digroup,
 )
+from digroups import tables
 from digroups.fileio import digroup_to_dict
 
 
@@ -391,6 +392,30 @@ def test_embed_out_file(tmp_path, n_file):
     assert sorted(doc["diagonal"]) == sorted(set(doc["eta"]))
     table = parse_digroup(out.read_text(encoding="utf-8"))
     assert table.order == 12
+
+
+def test_embed_validates_its_source_once(tmp_path, n_file, monkeypatch, capsys):
+    # The construction checks its source; the CLI validates it again only to
+    # report one that is no digroup.
+    runs = []
+    engine = tables._violations
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(tables, "_violations", counted)
+    assert run_cli(["embed", n_file]) == 0
+    assert len(runs) == 1
+    capsys.readouterr()
+    path = tmp_path / "broken.json"
+    path.write_text(
+        '{"order": 2, "identity": 0, "left": [[0, 0], [1, 0]], "right": [[0, 1], [0, 1]]}',
+        encoding="utf-8",
+    )
+    assert run_cli(["embed", str(path)]) == 1
+    assert len(runs) == 3
+    assert capsys.readouterr().out.startswith("violation ")
 
 
 def test_iso_not_isomorphic(m_file, z2_file, capsys):

@@ -34,6 +34,7 @@ from digroups import (
     cayley_embedding,
     direct_product,
     enumerate_digroups,
+    is_subdigroup,
     left_translations,
     relabel,
     right_translation_product,
@@ -283,6 +284,10 @@ BAD_INPUTS = [
     (lambda: _triple_with(right_unit=0.0), "right unit must be an integer, got 0.0"),
     (lambda: _triple_with(left_inverse=("0",) * 6), r"left_inverse\[0\] must be an integer, got '0'"),
     (lambda: _triple_with(phi=(0,) * 5 + (None,)), r"phi\[5\] must be an integer, got None"),
+    (lambda: SubsetMask(4, [0.5, 1]), r"subset members\[0\] must be an integer, got 0.5"),
+    (lambda: SubsetMask(4, ["1"]), r"subset members\[0\] must be an integer, got '1'"),
+    (lambda: SubsetMask(4, [None]), r"subset members\[0\] must be an integer, got None"),
+    (lambda: is_subdigroup(builtin("N"), [0.9]), r"subset members\[0\] must be an integer, got 0.9"),
 ]
 
 

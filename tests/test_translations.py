@@ -34,6 +34,7 @@ from digroups import (
     validate_digroup,
     verify_translation_identities,
 )
+from digroups import translations as tl, triples as tr
 from digroups.subdigroups import SubsetMask
 from digroups.tables import INVERSE_MISSING
 from digroups.translations import TRANSLATION_LAWS, ProductDigroup, _verify_embedding
@@ -338,10 +339,15 @@ BROKEN_ORDER_2 = (
 )
 
 
-def test_no_invalid_source_yields_a_product(reference_classes):
-    # Every product is validated and its eta proved an embedding, which
-    # together prove the source a digroup: each one-cell corruption the axiom
-    # check rejects must be refused by every construction.
+def test_no_invalid_source_yields_a_product(reference_classes, monkeypatch):
+    # A product is a digroup only through its source, so each one-cell
+    # corruption the axiom check rejects must be refused by every
+    # construction, in the source's name, before any pair table is built.
+    def unreachable(*args):
+        raise AssertionError("a pair table was built for a source that is no digroup")
+
+    monkeypatch.setattr(tr, "_pair_table", unreachable)  # the left product's
+    monkeypatch.setattr(tl, "_pair_table", unreachable)  # the right product's
     rng = random.Random(11)
     tables = [DigroupTable(2, 0, left, right) for left, right in BROKEN_ORDER_2]
     for entry in reference_classes[1:]:  # order 1 has no other value to write
@@ -357,8 +363,13 @@ def test_no_invalid_source_yields_a_product(reference_classes):
     assert len(tables) == 564
     for table in tables:
         assert not validate_digroup(table).ok
-        for build in (translation_product_digroup, cayley_embedding, right_translation_product):
-            with pytest.raises(ConstructionError):
+        for build, side in (
+            (translation_product_digroup, "left"),
+            (cayley_embedding, "left"),
+            (right_translation_product, "right"),
+        ):
+            refusal = f"^{side} translation product needs a digroup source: table of order "
+            with pytest.raises(ConstructionError, match=refusal):
                 build(table)
 
 
