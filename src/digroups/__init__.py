@@ -3,7 +3,7 @@
 Digroups are group-like structures with two products and a distinguished
 bar-unit; every element has a unique Liu inverse.  This package represents
 finite digroups as pairs of Cayley tables and provides the axiom checker,
-subdigroup lattice scans, homomorphism and isomorphism machinery with exact
+subdigroup listings, homomorphism and isomorphism machinery with exact
 canonical forms, translation representations with the diagonal (Cayley-style)
 embedding, standard triples, and an exhaustive classifier for small orders.
 

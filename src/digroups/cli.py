@@ -84,7 +84,7 @@ def _cmd_info(args) -> None:
     from .subdigroups import all_subdigroups
 
     table = _load_valid_digroup(args.file)
-    # The subset scan is the step that can refuse an order, so it runs
+    # The subdigroup listing is the step that can refuse an order, so it runs
     # before any line is printed.
     subdigroups = all_subdigroups(table)
     liu = liu_inverse_map(table)

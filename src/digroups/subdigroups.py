@@ -6,14 +6,45 @@ agreement is a checkable theorem, not a definition:
   (i)   e in H and the restricted tables satisfy every digroup axiom,
   (ii)  e in H and (H ⇀ H~) ∪ (H~ ↼ H) ⊆ H, where H~ is the set of ambient
         Liu inverses of H,
-  (iii) H nonempty, closed under both products and under ambient Liu inverses.
+  (iii) H contains e and is closed under both products.
 
-Liu inverses in (ii) and (iii) are always taken in the ambient digroup, from
-liu_inverse_map, whose scan is the validator's own.  generated_subdigroup is
-the closure operator of (iii): the package's one worklist closure, _close,
-run from seed ∪ {e} under the Liu inverse and both products.  Its closed sets
-are exactly the subdigroups, so they can be listed through it one closure at
-a time, as NextClosure does (Ganter 1984).
+Liu inverses in (ii) are taken in the ambient digroup, from liu_inverse_map,
+whose scan is the validator's own.  (iii) holds the Liu inverses as well.
+Let a ∈ H with Liu inverse y, so y⇀a = e = a↼y.  Then
+
+  y = y⇀e = y⇀(a↼y) = (y⇀a)⇀y = e⇀y        (x⇀e = x and DIASSOC_2),
+
+so every Liu inverse lies in E = e⇀G.  Under ⇀, E is closed and has the
+identity e (e⇀(e⇀x) = e⇀x and u⇀e = u), and y is a left inverse there of
+u = e⇀a: y⇀u = (y⇀e)⇀a = y⇀a = e.  A finite monoid whose elements all have
+left inverses is a group, so u has some order k ≥ 1 in it and
+y = u⇀u⇀…⇀u (k − 1 factors, e when k = 1).  Both e and a lie in H, hence u
+and y do.  Conversely a nonempty set closed under both products and Liu
+inverses holds a↼y = e.
+
+So the subdigroups are exactly the closed sets of one closure operator,
+_closure: the package's one worklist closure, _close, run from seed ∪ {e}
+under both products.  generated_subdigroup returns it, is_subdigroup asks a
+nonempty set to equal it, and all_subdigroups lists its closed sets by
+NextClosure (B. Ganter, "Two basic algorithms in concept analysis", 1984,
+reprinted in ICFCA 2010, LNCS 5986).
+
+NextClosure lists the closed sets in lectic order: A comes before B when the
+greatest element where they differ lies in B.  Element n − 1 is the greatest,
+so A comes before B exactly when A's bitmask is below B's, since the highest
+bit where two masks differ decides which is smaller.  The list starts at the
+closure of the empty set, {e}.  After a closed set A ≠ G, the next one is
+
+  cl({x ∈ A : x > i} ∪ {i})  for the least i ∉ A whose closure adds nothing
+                             above i (its members above i are A's).
+
+The next closed set B agrees with A above the greatest element i where they
+differ, and holds i where A does not; so B contains that candidate, and the
+two are equal because B is the least closed set after A.  Every accepted
+candidate comes after A, and one from a smaller accepted i lacks the larger
+i, as A does, so it comes first: B is the least accepted i's.  Each step
+runs at most n closures, so a listing costs at most n closures per
+subdigroup, not 2^n subset tests.
 """
 
 from __future__ import annotations
@@ -31,7 +62,7 @@ from .tables import (
     validate_digroup,
 )
 
-_SUBSET_SCAN_CAP = 16  # exhaustive subset scans stop at 2^16 subsets
+_SUBSET_SCAN_CAP = 16  # listings stop at order 16; trivial(16) has 2^15 subdigroups
 
 
 class SubsetMask(_Record):
@@ -68,24 +99,22 @@ def _members(table: DigroupTable, subset) -> frozenset[Element]:
     return SubsetMask.of(table.order, subset).members
 
 
-def _is_closed(table: DigroupTable, mask: int, liu: tuple[Element, ...]) -> bool:
-    """Criterion (iii) on the members of a nonzero bitmask: closed under both
-    products and the ambient Liu inverses ``liu``."""
-    members = [x for x in range(table.order) if mask >> x & 1]
-    for a in members:
-        if not mask >> liu[a] & 1:
-            return False
-        left, right = table.left[a], table.right[a]
-        for b in members:
-            if not mask >> left[b] & 1 or not mask >> right[b] & 1:
-                return False
-    return True
+def _closure(table: DigroupTable, seed) -> set[Element]:
+    """seed ∪ {e} closed under both products, by the package's one worklist
+    closure.  Its closed sets are exactly the subdigroups."""
+    left, right = table.left, table.right
+    found = set(seed) | {table.identity}
+    _close(
+        found,
+        lambda a: [p for b in found for p in (left[a][b], left[b][a], right[a][b], right[b][a])],
+    )
+    return found
 
 
 def is_subdigroup(table: DigroupTable, subset) -> bool:
-    """Criterion (iii): nonempty, closed under both products and Liu inverses."""
-    mask = sum(1 << x for x in _members(table, subset))
-    return mask != 0 and _is_closed(table, mask, liu_inverse_map(table).image)
+    """Criterion (iii): nonempty and equal to its own closure."""
+    h = _members(table, subset)
+    return bool(h) and generated_subdigroup(table, h).members == h
 
 
 def restrict(table: DigroupTable, subset) -> DigroupTable:
@@ -131,28 +160,25 @@ def subdigroup_criteria(table: DigroupTable, subset) -> tuple[bool, bool, bool]:
 
 def generated_subdigroup(table: DigroupTable, seed) -> SubsetMask:
     """Smallest subdigroup containing the seed set: the closure of
-    seed ∪ {e} under both products and Liu inverses."""
-    liu, left, right = liu_inverse_map(table), table.left, table.right
-    closure = set(_members(table, seed)) | {table.identity}
-    _close(
-        closure,
-        lambda a: [liu(a)]
-        + [p for b in closure for p in (left[a][b], left[b][a], right[a][b], right[b][a])],
-    )
-    return SubsetMask.of(table.order, closure)
+    seed ∪ {e} under both products."""
+    liu_inverse_map(table)  # a table with no Liu inverse is refused here
+    return SubsetMask.of(table.order, _closure(table, _members(table, seed)))
 
 
 def all_subdigroups(table: DigroupTable) -> list[SubsetMask]:
-    """Every subdigroup, in ascending bitmask order.  Exhaustive over all
-    2^n - 1 nonempty subsets, capped at order 16."""
+    """Every subdigroup, in ascending bitmask order, listed by NextClosure
+    with at most n closures per subdigroup; capped at order 16."""
     n = table.order
     if n > _SUBSET_SCAN_CAP:
         raise UnsupportedOrderError(
-            f"subset scan supports order <= {_SUBSET_SCAN_CAP}, got {n}"
+            f"subdigroup listing supports order <= {_SUBSET_SCAN_CAP}, got {n}"
         )
-    liu = liu_inverse_map(table).image
-    return [
-        SubsetMask.of(n, (x for x in range(n) if mask >> x & 1))
-        for mask in range(1, 1 << n)
-        if _is_closed(table, mask, liu)
-    ]
+    liu_inverse_map(table)  # a table with no Liu inverse is refused here
+    found = [{table.identity}]  # the closure of the empty set
+    while len(closed := found[-1]) < n:
+        for i in sorted(set(range(n)).difference(closed)):
+            candidate = _closure(table, {x for x in closed if x > i} | {i})
+            if all(x <= i or x in closed for x in candidate):
+                found.append(candidate)
+                break
+    return [SubsetMask.of(n, h) for h in found]

@@ -5,13 +5,15 @@ For each row the runner copies src/, tests/, pyproject.toml and the reference
 catalog into a temporary directory, replaces the row's exact old text with its
 new text in one file, and runs pytest on the row's tests with the row's
 timeout (TIMEOUT seconds unless the row gives its own).  A failing run or a
-timeout kills the mutant; a passing run lets it survive.
+timeout kills the mutant; a passing run lets it survive.  A run in which
+pytest finds no named test (exit 4) or selects none (exit 5) tests nothing,
+so the row is broken.
 Rows marked equivalent change no behaviour the tests can see and are expected
 to survive; each gives the reason.
 
 The run fails (exit 1) if a row's old text is not found exactly once, if a
-mutant that is not marked equivalent survives, or if one that is marked
-equivalent is killed.  A refactor that moves the code must move its rows.
+row is broken, if a mutant that is not marked equivalent survives, or if one
+that is marked equivalent is killed.  A refactor that moves the code must move its rows.
 
     python tests/mutants.py
 
@@ -380,15 +382,35 @@ MUTANTS = (
         "for a row is accepted",
     ),
     Mutant(
-        "subdigroups: generated_subdigroup's step omits the Liu inverse",
+        "subdigroups: NextClosure accepts a candidate that adds an element above i",
         "src/digroups/subdigroups.py",
-        "lambda a: [liu(a)]\n        + [p for b in closure",
-        "lambda a: [p for b in closure",
+        "if all(x <= i or x in closed for x in candidate):",
+        "if True:",
         ("tests/test_subdigroups.py",),
-        "in a finite digroup the Liu inverse of a is the inverse of e⇀a in the "
-        "group e⇀G under ⇀, a power of e⇀a, so the product closure of a set "
-        "holding e and a holds it already",
-        equivalent=True,
+        "the listing jumps from a closed set to the first candidate, skipping "
+        "subdigroups and leaving ascending mask order",
+    ),
+    Mutant(
+        "subdigroups: is_subdigroup has no nonempty check",
+        "src/digroups/subdigroups.py",
+        "return bool(h) and generated_subdigroup(table, h).members == h",
+        "return generated_subdigroup(table, h).members == h",
+        (
+            "tests/test_subdigroups.py"
+            "::test_a_table_without_a_liu_inverse_is_refused_before_any_closure",
+        ),
+        "the closure of the empty set is {e}, so the answer stays False, but "
+        "the Liu-inverse scan now runs first and refuses a table that lacks "
+        "an inverse",
+    ),
+    Mutant(
+        "subdigroups: the closure is seeded without e",
+        "src/digroups/subdigroups.py",
+        "found = set(seed) | {table.identity}",
+        "found = set(seed)",
+        ("tests/test_subdigroups.py",),
+        "the empty seed generates the empty set, and in a trivial digroup a "
+        "set without e is listed as closed",
     ),
     Mutant(
         "translations: swapped first-component tables",
@@ -565,7 +587,9 @@ def _copy(dest: Path) -> None:
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'survived' or 'missing' (the old text is not found once)."""
+    """'killed', 'survived', 'missing' (the old text is not found once) or
+    'broken' (pytest ran no test: a named test is not found or none is
+    selected)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         dest = Path(tmp)
         _copy(dest)
@@ -590,6 +614,8 @@ def run(mutant: Mutant) -> str:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             return "killed"
+        if code in (4, 5):
+            return "broken"
         return "survived" if code == 0 else "killed"
 
 

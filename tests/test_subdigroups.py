@@ -1,24 +1,32 @@
-"""Subdigroup criteria, generated closures, exhaustive subset scans."""
+"""Subdigroup criteria, generated closures, NextClosure listings."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import digroups.subdigroups as subdigroups
 from digroups import (
+    DigroupError,
+    DigroupTable,
     MalformedTableError,
     Mapping,
     SubsetMask,
     all_subdigroups,
     builtin,
+    direct_product,
     generated_subdigroup,
     is_subdigroup,
     liu_inverse_map,
     relabel,
     restrict,
     subdigroup_criteria,
+    trivial_digroup,
     validate_digroup,
 )
+from digroups.fileio import parse_catalog_line
 
 
 def brute_force_subdigroups(table):
@@ -173,3 +181,100 @@ def test_generated_subdigroup_is_the_least_subdigroup_holding_the_seed(reference
                 holding = [h for h in subs if h.issuperset(seed)]
                 least = frozenset.intersection(*holding)
                 assert generated_subdigroup(table, seed).members == least, (n, seed)
+
+
+def _relabelled(table, rng):
+    perm = list(range(table.order))
+    rng.shuffle(perm)
+    return relabel(table, Mapping(table.order, table.order, tuple(perm)))
+
+
+def _oracle_tables(reference_classes):
+    """Every class of orders 1-10, each with three seeded relabellings, and
+    eight products and builtins of orders 8-12."""
+    path = Path(__file__).with_name("catalog_9_10.jsonl")
+    entries = list(reference_classes)
+    entries += [parse_catalog_line(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rng = random.Random(3211)
+    for entry in entries:
+        yield entry.canonical, entry.subdigroup_count
+        for _ in range(3):
+            yield _relabelled(entry.canonical, rng), entry.subdigroup_count
+    m, n, z2 = builtin("M"), builtin("N"), builtin("Z2")
+    for table in (
+        direct_product(n, z2),
+        direct_product(n, m),
+        direct_product(m, builtin("Z4")),
+        direct_product(builtin("S3"), m),
+        direct_product(direct_product(m, m), m),
+        builtin("Z10"),
+        builtin("Z12"),
+        trivial_digroup(12),
+    ):
+        yield table, None
+
+
+def test_every_listing_closure_and_membership_test_matches_the_definition(reference_classes):
+    """all_subdigroups lists the subset scan's subdigroups in ascending mask
+    order; is_subdigroup and generated_subdigroup agree with them on 50
+    seeded subsets per table, half of them subdigroups."""
+    rng = random.Random(3212)
+    tables = 0
+    for table, count in _oracle_tables(reference_classes):
+        n = table.order
+        oracle = sorted(brute_force_subdigroups(table), key=lambda h: SubsetMask.of(n, h).mask)
+        assert [s.members for s in all_subdigroups(table)] == oracle
+        assert count in (None, len(oracle))
+        for k in range(50):
+            subset = rng.choice(oracle) if k % 2 else frozenset(
+                x for x in range(n) if rng.getrandbits(1)
+            )
+            assert is_subdigroup(table, subset) == (subset in oracle), subset
+            least = frozenset.intersection(*(h for h in oracle if h >= subset))
+            assert generated_subdigroup(table, subset).members == least, subset
+        tables += 1
+    assert tables == 4 * 40 + 8
+
+
+def _z2_4():
+    z2 = builtin("Z2")
+    return direct_product(direct_product(z2, z2), direct_product(z2, z2))
+
+
+def test_order_16_subdigroup_counts():
+    # Z16 has one subgroup per divisor of 16.  Z2^4 has 1 + 15 + 35 + 15 + 1
+    # subspaces over GF(2).  In trivial(16) every subset holding e is closed.
+    for table, count in ((builtin("Z16"), 5), (_z2_4(), 67), (trivial_digroup(16), 2**15)):
+        masks = [s.mask for s in all_subdigroups(table)]
+        assert len(masks) == count
+        assert masks == sorted(masks)
+
+
+def test_listing_runs_at_most_n_closures_per_subdigroup(monkeypatch):
+    """NextClosure's closure count is pinned, so a return to a subset scan
+    shows as a count and not only as a time."""
+    calls = []
+    closure = subdigroups._closure
+    monkeypatch.setattr(
+        subdigroups, "_closure", lambda table, seed: calls.append(seed) or closure(table, seed)
+    )
+    for table, closures in ((builtin("Z16"), 38), (_z2_4(), 436), (trivial_digroup(8), 127)):
+        calls.clear()
+        listed = len(all_subdigroups(table))
+        assert len(calls) == closures
+        assert closures <= table.order * listed
+
+
+def test_a_table_without_a_liu_inverse_is_refused_before_any_closure():
+    # x ⇀ y = x ↼ y = max(x, y): 0 is a bar-unit, and 1 ↼ y is never 0
+    table = DigroupTable(2, 0, ((0, 1), (1, 1)), ((0, 1), (1, 1)))
+    message = "^element 1 has no Liu inverse;"
+    for call in (
+        lambda: all_subdigroups(table),
+        lambda: generated_subdigroup(table, set()),
+        lambda: is_subdigroup(table, {0}),
+    ):
+        with pytest.raises(DigroupError, match=message):
+            call()
+    # the empty set is refused before the table is read
+    assert not is_subdigroup(table, set())
