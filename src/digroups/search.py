@@ -4,12 +4,14 @@ The propagating enumerator fills the 2n² table cells with the identity fixed
 at index 0.  Bar-unit cells are pre-seeded: column e of the left table is the
 identity column, row e of the right table the identity row, and column e of
 the right table is tied cell-by-cell to row e of the left table, which is
-seeded whole once per fiber size (below).  Every diassociativity instance
-links the two inner-product cells of a triple (x, y, z) to its two outer
-cells; once both inner products are known the outer cells must agree, which
-assigns a value, detects a conflict, or records an equality edge between two
-still-open cells.  Partial assignments that are
-lexicographically above one of their identity-fixing relabelings are cut.
+seeded whole once per fiber size (below).  The constraints are read from
+the law table tables._DIASSOC, which the validator also reads: for each law
+and triple (x, y, z), one instance links the inner-product cell of each side
+(x a y, or y b z for x a (y b z)) to that side's outer cell.  Once both
+inner products are known the outer cells must agree, which assigns a value,
+detects a conflict, or records an equality edge between two still-open
+cells.  Partial assignments that are lexicographically above one of their
+identity-fixing relabelings are cut.
 
 The axioms also force two families of bijections.  Given y, take its Liu
 inverse u, so u⇀y = e = y↼u.
@@ -77,10 +79,11 @@ j′ reads j′, so the tables come out strictly increasing.
 
 A naive oracle for orders up to 3 scans every table pair consistent with the
 unit constraints outright, keeps the valid ones equal to their canonical_form,
-and must produce the identical class list.  It first asks the validator
-whether a ⇀ table alone breaks DIASSOC_1, x⇀(y⇀z) = (x⇀y)⇀z, and if so skips
-every ↼ table beside it: that law reads no ↼ cell, so each such pair breaks
-it too and no digroup is lost.  At order 3 only 18 of the 729 ⇀ tables pass.
+and must produce the identical class list.  It first compares the two sides
+of DIASSOC_1, the one law of tables._DIASSOC that reads no ↼ cell, on each ⇀
+table alone, and skips every ↼ table beside one that breaks it: each such
+pair breaks it too, so no digroup is lost.  At order 3 only 18 of the 729 ⇀
+tables pass.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ from .tables import (
     ConstructionError,
     DigroupTable,
     UnsupportedOrderError,
+    _DIASSOC,
     _Record,
+    _diassoc_violations,
     _violations,
     builtin,
     is_commutative,
@@ -149,40 +154,30 @@ class ClaimReport(_Record):
 # A law instance is (in1, in2, base1, base2, mult2): when cells in1 and in2
 # hold v1 and v2, the cells base1 + v1*n and base2 + v2*mult2 must be equal.
 # Cell ids are t*n*n + x*n + y with t = 0 for the left table, 1 for the right.
+# One instance per law of tables._DIASSOC and triple (x, y, z), built from
+# the law's two sides.  The first side is (x a y) b z, whose outer cell
+# v1 ⇀ z or v1 ↼ z steps by n as v1 grows; every law has such a side.
 
 
 @lru_cache(maxsize=None)
 def _search_tables(n: int):
     nn = n * n
 
-    def cell(t, x, y):
-        return t * nn + x * n + y
+    def side(nested, a, b, x, y, z):
+        """(inner cell, base, step) of one side at (x, y, z): its outer cell
+        is base + step * (the inner cell's value)."""
+        if nested:  # x a (y b z): the outer cell is x a v, in row x of a
+            return b * nn + y * n + z, a * nn + x * n, 1
+        return a * nn + x * n + y, b * nn + z, n  # (x a y) b z: v b z
 
+    # flat sides first; sorted is stable, so a law with two keeps its order
+    laws = [sorted(law, key=lambda s: s[0]) for law in _DIASSOC]
     insts: list[tuple[int, int, int, int, int]] = []
-    # (Tin1, Tin2, Tout1, Tout2) table selectors for the four chain-shaped
-    # diassociativity laws; the fifth law pins two outer cells in one table.
-    chain_laws = (
-        (0, 0, 0, 0),  # x⇀(y⇀z) = (x⇀y)⇀z
-        (0, 1, 0, 0),  # (x⇀y)⇀z = x⇀(y↼z)
-        (1, 0, 0, 1),  # (x↼y)⇀z = x↼(y⇀z)
-        (1, 1, 1, 1),  # (x↼y)↼z = x↼(y↼z)
-    )
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for t1, t2, to1, to2 in chain_laws:
-                    insts.append(
-                        (
-                            cell(t1, x, y),
-                            cell(t2, y, z),
-                            to1 * nn + z,
-                            cell(to2, x, 0),
-                            1,
-                        )
-                    )
-                # (x⇀y)↼z = (x↼y)↼z : both outer cells sit in the right table
-                # at row given by the inner value, column z.
-                insts.append((cell(0, x, y), cell(1, x, y), nn + z, nn + z, n))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        for first, second in laws:
+            in1, base1, _ = side(*first, x, y, z)
+            in2, base2, mult2 = side(*second, x, y, z)
+            insts.append((in1, in2, base1, base2, mult2))
 
     watch: list[list[int]] = [[] for _ in range(2 * nn)]
     for idx, (in1, in2, _, _, _) in enumerate(insts):
@@ -422,9 +417,9 @@ def naive_enumerate(n: int) -> list[CatalogEntry]:
 
 
 def _breaks_diassoc_1(left: tuple[bytes, ...]) -> bool:
-    """Whether the ⇀ rows alone break DIASSOC_1, decided by the validator
-    with ⇀ standing in for ↼, which that law never reads."""
-    return any(k == 0 for k, _ in _violations(0, left, left))
+    """Whether the ⇀ rows alone break DIASSOC_1, the one law that reads no
+    ↼ cell; no other law is compared and no Liu inverse is sought."""
+    return any(_diassoc_violations((left,), (0,)))
 
 
 def count_by_class(entries: list[CatalogEntry]) -> dict[str, int]:

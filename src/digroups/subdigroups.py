@@ -25,9 +25,9 @@ inverses holds a↼y = e.
 So the subdigroups are exactly the closed sets of one closure operator,
 _closure: the package's one worklist closure, _close, run from seed ∪ {e}
 under both products.  generated_subdigroup returns it, is_subdigroup asks a
-nonempty set to equal it, and all_subdigroups lists its closed sets by
-NextClosure (B. Ganter, "Two basic algorithms in concept analysis", 1984,
-reprinted in ICFCA 2010, LNCS 5986).
+nonempty set to equal it, restrict refuses a set that differs from it, and
+all_subdigroups lists its closed sets by NextClosure (B. Ganter, "Two basic
+algorithms in concept analysis", 1984, reprinted in ICFCA 2010, LNCS 5986).
 
 NextClosure lists the closed sets in lectic order: A comes before B when the
 greatest element where they differ lies in B.  Element n − 1 is the greatest,
@@ -62,7 +62,7 @@ from .tables import (
     validate_digroup,
 )
 
-_SUBSET_SCAN_CAP = 16  # listings stop at order 16; trivial(16) has 2^15 subdigroups
+_LISTING_CAP = 16  # listings stop at order 16; trivial(16) has 2^15 subdigroups
 
 
 class SubsetMask(_Record):
@@ -123,13 +123,12 @@ def restrict(table: DigroupTable, subset) -> DigroupTable:
     Raises MalformedTableError if the subset is not closed under both products
     or does not contain the identity.
     """
-    h = sorted(_members(table, subset))
+    h = _members(table, subset)
     if table.identity not in h:
         raise MalformedTableError("restriction requires the identity in the subset")
-    try:
-        return _reindex(table, h)
-    except KeyError:
-        raise MalformedTableError("subset is not closed under the products") from None
+    if _closure(table, h) != h:
+        raise MalformedTableError("subset is not closed under the products")
+    return _reindex(table, sorted(h))
 
 
 def subdigroup_criteria(table: DigroupTable, subset) -> tuple[bool, bool, bool]:
@@ -169,9 +168,9 @@ def all_subdigroups(table: DigroupTable) -> list[SubsetMask]:
     """Every subdigroup, in ascending bitmask order, listed by NextClosure
     with at most n closures per subdigroup; capped at order 16."""
     n = table.order
-    if n > _SUBSET_SCAN_CAP:
+    if n > _LISTING_CAP:
         raise UnsupportedOrderError(
-            f"subdigroup listing supports order <= {_SUBSET_SCAN_CAP}, got {n}"
+            f"subdigroup listing supports order <= {_LISTING_CAP}, got {n}"
         )
     liu_inverse_map(table)  # a table with no Liu inverse is refused here
     found = [{table.identity}]  # the closure of the empty set

@@ -4,10 +4,9 @@ A digroup is a set G with two binary operations, the left product ``x >> y``
 (written ``x ⇀ y``) and the right product ``x << y`` (written ``x ↼ y``),
 together with a distinguished bar-unit e, satisfying
 
-  1. the diassociative law, five mixed associativity identities:
-       x⇀(y⇀z) = (x⇀y)⇀z = x⇀(y↼z)
-       (x↼y)⇀z = x↼(y⇀z)
-       (x⇀y)↼z = (x↼y)↼z = x↼(y↼z)
+  1. the diassociative law, five mixed associativity identities, each
+     equating two bracketings of x, y, z under ⇀ and ↼; _DIASSOC below
+     states them once, and the validator and the search both read it,
   2. the bar-unit laws  x⇀e = x = e↼x  and  x↼e = e⇀x,
   3. for every x a (necessarily unique) Liu inverse y with y⇀x = e = x↼y.
 
@@ -27,13 +26,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Element = int
 
-# Law identifiers, in report order.  DIASSOC_1..5 are the five equalities of
-# the diassociative law in the order listed in the module docstring.
-DIASSOC_1 = "DIASSOC_1"  # x⇀(y⇀z) = (x⇀y)⇀z
-DIASSOC_2 = "DIASSOC_2"  # (x⇀y)⇀z = x⇀(y↼z)
-DIASSOC_3 = "DIASSOC_3"  # (x↼y)⇀z = x↼(y⇀z)
-DIASSOC_4 = "DIASSOC_4"  # (x⇀y)↼z = (x↼y)↼z
-DIASSOC_5 = "DIASSOC_5"  # (x↼y)↼z = x↼(y↼z)
+# Law identifiers, in report order.  DIASSOC_1..5 are the five laws of
+# _DIASSOC, in its order.
+DIASSOC_1 = "DIASSOC_1"
+DIASSOC_2 = "DIASSOC_2"
+DIASSOC_3 = "DIASSOC_3"
+DIASSOC_4 = "DIASSOC_4"
+DIASSOC_5 = "DIASSOC_5"
 BARUNIT_RIGHT = "BARUNIT_RIGHT"  # x⇀e = x
 BARUNIT_LEFT = "BARUNIT_LEFT"  # e↼x = x
 BARUNIT_SWAP = "BARUNIT_SWAP"  # x↼e = e⇀x
@@ -50,6 +49,25 @@ DIGROUP_LAWS = (
     BARUNIT_SWAP,
     INVERSE_MISSING,
 )
+
+
+def _read_side(text: str) -> tuple[bool, int, int]:
+    """(nested, a, b) for a side written x a (y b z), which is nested, or
+    (x a y) b z, with 0 for ⇀ and 1 for ↼ (the table index of the product)."""
+    a, b = (int(c == "↼") for c in text if c in "⇀↼")
+    return text[0] == "x", a, b
+
+
+# The diassociative law, stated once: the (lhs, rhs) sides of DIASSOC_1..5.
+# The validator compares them, the search builds its constraints from them,
+# and the naive oracle's skip test compares DIASSOC_1's alone.
+_DIASSOC = tuple(tuple(map(_read_side, law)) for law in (
+    ("x⇀(y⇀z)", "(x⇀y)⇀z"),
+    ("(x⇀y)⇀z", "x⇀(y↼z)"),
+    ("(x↼y)⇀z", "x↼(y⇀z)"),
+    ("(x⇀y)↼z", "(x↼y)↼z"),
+    ("(x↼y)↼z", "x↼(y↼z)"),
+))
 
 # The axiom check decides n^3 triples per table; the cap bounds its time.
 # Its memory is O(n^2).  The check holds rows as bytes and composes them with
@@ -373,30 +391,23 @@ class Mapping(_Record):
 
 
 def _reindex(table: DigroupTable, members: Sequence[Element]) -> DigroupTable:
-    """The table on members[0], members[1], ... relabelled 0, 1, ....  A
-    product or identity outside members raises KeyError.
+    """The table on members[0], members[1], ... relabelled 0, 1, ....  The
+    members must hold the identity and every product of two members.
 
     Each table is read flat: the rows of the members end to end; then, for
     each member b, column b of those rows as one stride-n slice, which lays
     the picked table out transposed; then every m-th cell of that, which
     gives its rows back.  Up to _BYTE_ORDER the cells are byte strings and
-    one translate relabels them all, a non-member going to 255, which is no
-    label unless all 256 values are members; above it they are tuples
-    relabelled through a position dict.  Either way no cell is visited by
-    Python code, and the rows are handed to DigroupTable as built."""
+    one translate relabels them all; above it they are tuples relabelled
+    through a position dict.  Either way no cell is visited by Python code,
+    and the rows are handed to DigroupTable as built."""
     n, m = table.order, len(members)
     if n <= _BYTE_ORDER:
-        code = bytearray(b"\xff" * 256)
+        code = bytearray(256)
         for i, x in enumerate(members):
             code[x] = i
         kind, join = bytes, b"".join
-
-        def relabel(cells: bytes) -> bytes:
-            cells = cells.translate(code)
-            if m < 256 and 255 in cells:
-                raise KeyError("a value outside the members")
-            return cells
-
+        relabel = lambda cells: cells.translate(code)
     else:
         pos = {x: i for i, x in enumerate(members)}
         kind, join = tuple, lambda parts: tuple(chain.from_iterable(parts))
@@ -456,13 +467,6 @@ def _violations(
     ``left`` and ``right`` are the rows of ⇀ and ↼ as byte strings.  The
     laws come out in no fixed order, each as soon as it is found, so a
     caller that only asks whether a table is a digroup stops at the first.
-
-    For each x the eight products x⇀(y⇀z), x⇀(y↼z), x↼(y⇀z), x↼(y↼z) and
-    (x⇀y)⇀z, (x↼y)⇀z, (x↼y)↼z, (x⇀y)↼z are built for all (y, z) at once,
-    flattened as y*n + z: the first four by translating the flattened inner
-    table through row x, the last four by joining the rows that row x names.
-    Each diassociativity law is then one comparison per x, and x runs in
-    order, so the first x that breaks a law holds its first witness.
     """
     n = len(left)
     inverses = _liu_inverses(e, left, right)
@@ -478,23 +482,39 @@ def _violations(
         if lhs != rhs:
             x = _first_difference(lhs, rhs)
             yield k, Violation(DIGROUP_LAWS[k], (x,), lhs[x], rhs[x])
+    yield from _diassoc_violations((left, right), range(5))
 
+
+def _diassoc_violations(
+    rows: Sequence[Sequence[bytes]], laws: Iterable[int]
+) -> Iterator[tuple[int, Violation]]:
+    """Yield ``(k, violation)`` for every law ``_DIASSOC[k]``, k in laws,
+    that the tables break, each with its lexicographically first witness.
+
+    rows[0] and rows[1] are the rows of ⇀ and ↼ as byte strings; a caller
+    that asks only about laws reading ⇀ may pass ⇀ alone.  For each x, build
+    makes each side of the laws still open for all (y, z) at once, flattened
+    as y*n + z: x a (y b z) by translating the flattened b table through row
+    x of a, (x a y) b z by joining the rows of b that row x of a names.
+    Each law is then one comparison per x, and x runs in order, so the first
+    x that breaks a law holds its first witness.
+    """
+    n = len(rows[0])
+    flats = tuple(map(b"".join, rows))
     pad = bytes(256 - n)  # translate takes a 256-byte table: n <= 256
-    join, row_l, row_r = b"".join, left.__getitem__, right.__getitem__
-    open_laws = [0, 1, 2, 3, 4]
+
+    def build(side: tuple[bool, int, int], x: Element) -> bytes:
+        nested, a, b = side
+        if nested:
+            return flats[b].translate(rows[a][x] + pad)
+        return b"".join(map(rows[b].__getitem__, rows[a][x]))
+
+    open_laws = list(laws)
     for x in range(n):
-        lx, rx = left[x] + pad, right[x] + pad
-        ll, rr = join(map(row_l, left[x])), join(map(row_r, right[x]))
-        sides = (
-            (flat_l.translate(lx), ll),  # x⇀(y⇀z) = (x⇀y)⇀z
-            (ll, flat_r.translate(lx)),  # (x⇀y)⇀z = x⇀(y↼z)
-            (join(map(row_l, right[x])), flat_l.translate(rx)),  # (x↼y)⇀z = x↼(y⇀z)
-            (join(map(row_r, left[x])), rr),  # (x⇀y)↼z = (x↼y)↼z
-            (rr, flat_r.translate(rx)),  # (x↼y)↼z = x↼(y↼z)
-        )
+        built = {side: build(side, x) for side in {s for k in open_laws for s in _DIASSOC[k]}}
         still_open = []
         for k in open_laws:
-            lhs, rhs = sides[k]
+            lhs, rhs = map(built.__getitem__, _DIASSOC[k])
             if lhs == rhs:
                 still_open.append(k)
                 continue
@@ -712,6 +732,10 @@ def builtin(name: str) -> DigroupTable:
         else:
             raise DigroupError(f"unknown builtin {name!r}")
     try:
+        # int() alone would also read signs, spaces, underscores and
+        # non-ASCII digits; it refuses a body of too many digits
+        if not (body.isascii() and body.isdigit()):
+            raise ValueError(body)
         k = int(body)
     except ValueError:
         raise DigroupError(f"bad order in builtin name {name!r}") from None

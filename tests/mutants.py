@@ -237,22 +237,51 @@ MUTANTS = (
         equivalent=True,
     ),
     Mutant(
-        "naive oracle: the skip tests DIASSOC_4, which holds on (⇀, ⇀)",
+        "naive oracle: the skip tests DIASSOC_4 with ⇀ standing in for ↼",
         SEARCH,
-        "return any(k == 0 for k, _ in _violations(0, left, left))",
-        "return any(k == 3 for k, _ in _violations(0, left, left))",
+        "return any(_diassoc_violations((left,), (0,)))",
+        "return any(_diassoc_violations((left, left), (3,)))",
         ("tests/test_search.py",),
-        "no ⇀ table is skipped; only the pinned engine calls see it",
+        "DIASSOC_4 holds on (⇀, ⇀), so no ⇀ table is skipped; only the pinned "
+        "engine calls see it",
     ),
     Mutant(
-        "naive oracle: the skip tests DIASSOC_5",
+        "naive oracle: the skip tests DIASSOC_5 with ⇀ standing in for ↼",
         SEARCH,
-        "return any(k == 0 for k, _ in _violations(0, left, left))",
-        "return any(k == 4 for k, _ in _violations(0, left, left))",
+        "return any(_diassoc_violations((left,), (0,)))",
+        "return any(_diassoc_violations((left, left), (4,)))",
         ("tests/test_search.py",),
         "on (⇀, ⇀) DIASSOC_5 is also the associativity of ⇀, so the same ⇀ "
         "tables are skipped",
         equivalent=True,
+    ),
+    Mutant(
+        "law table: DIASSOC_2's nested side reads ↼ for its outer ⇀",
+        TABLES,
+        '("(x⇀y)⇀z", "x⇀(y↼z)"),',
+        '("(x⇀y)⇀z", "x↼(y↼z)"),',
+        ("tests/test_tables.py::test_validator_agrees_with_a_loop_oracle",),
+        "the validator compares (x⇀y)⇀z with x↼(y↼z), which read x and z in "
+        "M, so it reports M broken",
+    ),
+    Mutant(
+        "law table: DIASSOC_2's nested side reads ↼ for its outer ⇀ (catalogs)",
+        TABLES,
+        '("(x⇀y)⇀z", "x⇀(y↼z)"),',
+        '("(x⇀y)⇀z", "x↼(y↼z)"),',
+        ("tests/test_search.py::test_catalogs_equal_the_reference_catalog",),
+        "the search builds its constraints from the same wrong side and loses "
+        "every class that is not a group, which the re-check, reading the same "
+        "table, cannot see",
+    ),
+    Mutant(
+        "search: an instance is built from a nested side first",
+        SEARCH,
+        "laws = [sorted(law, key=lambda s: s[0]) for law in _DIASSOC]",
+        "laws = [sorted(law, key=lambda s: not s[0]) for law in _DIASSOC]",
+        ("tests/test_search.py::test_search_node_counts_are_pinned",),
+        "a nested side's outer cell steps by 1, not n, as its inner value grows, "
+        "so the instance ties the wrong cells",
     ),
     Mutant(
         "validator: the witness index arithmetic",
@@ -322,23 +351,33 @@ MUTANTS = (
         "a relabelled table's identity points at another element",
     ),
     Mutant(
-        "reindex: a non-member is relabelled 0",
+        "reindex: a non-member is relabelled 255",
         TABLES,
-        'code = bytearray(b"\\xff" * 256)',
         "code = bytearray(256)",
-        ("tests/test_tables.py::test_restrict_refuses_a_subset_that_is_not_closed",),
-        "a product outside the subset gets a label in range, so restrict "
-        "returns a table for a subset that is not closed",
+        'code = bytearray(b"\\xff" * 256)',
+        ("tests/test_tables.py", "tests/test_subdigroups.py", "tests/test_morphisms.py"),
+        "restrict refuses a subset that is not closed before it re-indexes, and "
+        "every other caller passes a relabeling or a closed set, so no product "
+        "outside the members is relabelled",
+        equivalent=True,
     ),
     Mutant(
-        "reindex: the sentinel is not looked for in 255-member tables",
-        TABLES,
-        "if m < 256 and 255 in cells:",
-        "if m < 255 and 255 in cells:",
+        "restrict: no closure check",
+        "src/digroups/subdigroups.py",
+        "    if _closure(table, h) != h:\n        raise",
+        "    if False:\n        raise",
         ("tests/test_tables.py", "-k", "not_closed"),
-        "in Z256 restricted to 0..254 the product 1 + 254 is labelled 255, "
-        "one past the last label, and the range check refuses it with the "
-        "wrong error",
+        "a subset that is not closed is re-indexed, its outside products "
+        "relabelled into it, and a table is returned",
+    ),
+    Mutant(
+        "restrict: the closure check is skipped from order 256 on",
+        "src/digroups/subdigroups.py",
+        "    if _closure(table, h) != h:",
+        "    if table.order < 256 and _closure(table, h) != h:",
+        ("tests/test_tables.py", "-k", "past_order_256"),
+        "in Z256 restricted to 0..254 the product 1 + 254 = 255 is relabelled "
+        "0 and a table is returned; in Z257 the position dict raises KeyError",
     ),
     Mutant(
         "range check: an entry equal to the order passes",

@@ -297,7 +297,7 @@ def test_builtin_refuses_orders_beyond_the_validator_cap_before_building(capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    for name in ("Z²", "Z" + "1" * 5000):
+    for name in ("Z²", "Z" + "1" * 5000, "trivial(3_0)", "cyclic(+3)", "cyclic( 3 )", "Z٣"):
         assert run_cli(["builtin", name]) == 2
         assert capsys.readouterr().err.startswith("error: bad order")
 
