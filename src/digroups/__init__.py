@@ -34,7 +34,6 @@ _HOMES = {
         "is_group",
         "liu_inverse",
         "liu_inverse_map",
-        "symmetric_group_3",
         "trivial_digroup",
         "validate_digroup",
     ),

@@ -89,7 +89,8 @@ def digroup_from_dict(doc: dict) -> DigroupTable:
 
 def parse_digroup(text: str) -> DigroupTable:
     """Parse a digroup document.  Structural errors raise ParseError naming
-    the field; no axiom checking happens here."""
+    the field, and an order past the table bound UnsupportedOrderError; no
+    axiom checking happens here."""
     return digroup_from_dict(_json_object(text))
 
 

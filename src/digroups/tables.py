@@ -20,7 +20,6 @@ Tables are stored row-major with the row index as the left operand:
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter, index
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -69,14 +68,12 @@ _DIASSOC = tuple(tuple(map(_read_side, law)) for law in (
     ("(x↼y)↼z", "x↼(y↼z)"),
 ))
 
-# The axiom check decides n^3 triples per table; the cap bounds its time.
-# Its memory is O(n^2).  The check holds rows as bytes and composes them with
-# bytes.translate, whose table has 256 entries, so the cap must stay <= 256.
-_VALIDATE_CAP = 200
-
-# Tables up to this order have every entry in 0..255, so their rows fit byte
-# strings and one 256-entry bytes.translate table relabels them.
-_BYTE_ORDER = 256
+# The one bound on a carrier: no table, pair product, triple carrier or
+# builtin is larger.  Every entry of such a table is in 0..255, so its rows
+# are byte strings, read by bytes(), relabelled and composed by one
+# bytes.translate, whose table has 256 entries.  The axiom check decides n^3
+# triples: about 0.1 s at order 256, with memory O(n^2).
+_ORDER_CAP = 256
 
 
 class DigroupError(Exception):
@@ -140,29 +137,22 @@ def _as_matrix(rows: Iterable[Iterable[int]], n: int, name: str) -> tuple[tuple[
     n x n matrix over 0..n-1; the first faulty row or cell, in row order,
     raises MalformedTableError.
 
-    Up to _BYTE_ORDER a row is read by one bytes(row), which takes only
-    integers in 0..255, and range-checked by one translate; above it, by
-    operator.index per cell and one frozenset.issuperset.  Either way no
-    Python code runs per cell."""
+    n is at most _ORDER_CAP, so a row is read by one bytes(row), which takes
+    only integers in 0..255, and range-checked by one translate: no Python
+    code runs per cell."""
     rows = tuple(rows)
     if len(rows) != n:
         raise MalformedTableError(f"{name} table must have {n} rows, found {len(rows)}")
-    small = n <= _BYTE_ORDER
-    # built once the table holds n rows, so never larger than the input
-    valid = bytes(range(n)) if small else frozenset(range(n))
+    valid = bytes(range(n))
     matrix = []
     for x, row in enumerate(rows):
         if type(row) not in _ROW_TYPES:
             row = tuple(row)
         try:
-            cells = bytes(row) if small else tuple(map(index, row))
+            cells = bytes(row)
         except (TypeError, ValueError):  # a non-integer, or an entry past 255
             cells = None
-        if (
-            cells is None
-            or len(cells) != n
-            or (cells.translate(None, valid) if small else not valid.issuperset(cells))
-        ):
+        if cells is None or len(cells) != n or cells.translate(None, valid):
             _refuse_row(row, n, name, x)
         matrix.append(tuple(cells))
     return tuple(matrix)
@@ -259,7 +249,8 @@ class DigroupTable(_Record):
     The order, the identity and every table entry must be integers, that is
     have ``__index__``: ints and bools pass and are stored as exact ints,
     while a float (even ``1.0``), a string (even ``"1"``) or None raises
-    MalformedTableError naming the field or the first such cell.
+    MalformedTableError naming the field or the first such cell.  An order
+    above ``_ORDER_CAP`` raises UnsupportedOrderError before any row is read.
     """
 
     order: int
@@ -278,6 +269,7 @@ class DigroupTable(_Record):
         _set(self, "labels", labels)
         if n < 1:
             raise MalformedTableError(f"order must be >= 1, got {n}")
+        _require_checkable(n)
         if not (0 <= e < n):
             raise MalformedTableError(f"identity index {e} out of range for order {n}")
         _set(self, "left", _as_matrix(left, n, "left"))
@@ -397,31 +389,22 @@ def _reindex(table: DigroupTable, members: Sequence[Element]) -> DigroupTable:
     Each table is read flat: the rows of the members end to end; then, for
     each member b, column b of those rows as one stride-n slice, which lays
     the picked table out transposed; then every m-th cell of that, which
-    gives its rows back.  Up to _BYTE_ORDER the cells are byte strings and
-    one translate relabels them all; above it they are tuples relabelled
-    through a position dict.  Either way no cell is visited by Python code,
-    and the rows are handed to DigroupTable as built."""
+    gives its rows back.  The cells are byte strings and one translate
+    relabels them all, so no cell is visited by Python code, and the rows
+    are handed to DigroupTable as built."""
     n, m = table.order, len(members)
-    if n <= _BYTE_ORDER:
-        code = bytearray(256)
-        for i, x in enumerate(members):
-            code[x] = i
-        kind, join = bytes, b"".join
-        relabel = lambda cells: cells.translate(code)
-    else:
-        pos = {x: i for i, x in enumerate(members)}
-        kind, join = tuple, lambda parts: tuple(chain.from_iterable(parts))
-        relabel = lambda cells: tuple(map(pos.__getitem__, cells))
+    code = bytearray(256)
+    for i, x in enumerate(members):
+        code[x] = i
 
     def reindexed(rows):
-        flat = join(map(kind, map(rows.__getitem__, members)))
-        cells = relabel(join([flat[b::n] for b in members]))
+        flat = b"".join(map(bytes, map(rows.__getitem__, members)))
+        cells = b"".join([flat[b::n] for b in members]).translate(code)
         return [cells[i::m] for i in range(m)]
 
-    (e,) = relabel(kind((table.identity,)))
     left, right = reindexed(table.left), reindexed(table.right)
     labels = None if table.labels is None else map(table.labels.__getitem__, members)
-    return DigroupTable(m, e, left, right, labels)
+    return DigroupTable(m, code[table.identity], left, right, labels)
 
 
 def _first_difference(a: bytes, b: bytes) -> int:
@@ -526,12 +509,11 @@ def _diassoc_violations(
         open_laws = still_open
 
 
-def _require_checkable(n: int) -> None:
-    """Raise UnsupportedOrderError for orders beyond the axiom check's cap."""
-    if n > _VALIDATE_CAP:
-        raise UnsupportedOrderError(
-            f"axiom check supports order <= {_VALIDATE_CAP}, got {n}"
-        )
+def _require_checkable(n: int, what: str = "axiom check") -> None:
+    """Raise UnsupportedOrderError, naming what refuses, for an order past
+    _ORDER_CAP."""
+    if n > _ORDER_CAP:
+        raise UnsupportedOrderError(f"{what} supports order <= {_ORDER_CAP}, got {n}")
 
 
 def validate_digroup(table: DigroupTable) -> ValidationReport:
@@ -539,12 +521,10 @@ def validate_digroup(table: DigroupTable) -> ValidationReport:
 
     Returns a deterministic report: per broken law, one violation carrying the
     lexicographically first witness.  Structural malformation never reaches
-    this function; it is rejected by the :class:`DigroupTable` constructor.
-    Rows are held as byte strings, so memory grows as n^2; orders above
-    ``_VALIDATE_CAP`` raise UnsupportedOrderError, since the time grows as
-    n^3.
+    this function; it is rejected by the :class:`DigroupTable` constructor,
+    which also refuses orders above ``_ORDER_CAP``.  Rows are held as byte
+    strings, so memory grows as n^2 and time as n^3.
     """
-    _require_checkable(table.order)
     found = _violations(
         table.identity,
         tuple(map(bytes, table.left)),
@@ -632,6 +612,7 @@ def trivial_digroup(n: int) -> DigroupTable:
     """
     if n < 1:
         raise MalformedTableError("trivial digroup needs order >= 1")
+    _require_checkable(n)  # before the n^2 cells are built
     left = tuple((x,) * n for x in range(n))
     right = (tuple(range(n)),) * n
     return DigroupTable(n, 0, left, right)
@@ -641,12 +622,13 @@ def cyclic_group(n: int) -> DigroupTable:
     """The cyclic group of order n read as a digroup (both products equal)."""
     if n < 1:
         raise MalformedTableError("cyclic group needs order >= 1")
+    _require_checkable(n)  # before the n^2 cells are built
     base = tuple(range(n))
     rows = tuple(base[x:] + base[:x] for x in range(n))  # row x is (x + y) % n
     return DigroupTable(n, 0, rows, rows)
 
 
-def symmetric_group_3() -> DigroupTable:
+def _symmetric_group_3() -> DigroupTable:
     """S3 as a digroup; elements are the permutations of three points in
     lexicographic order, composed left-to-right as functions."""
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
@@ -675,19 +657,17 @@ def _pair_table(
     each second row are built once, by mapping an add over the row, and each
     product row joins the copies that row i of the first table names, so
     the g * s * s entries of the copies and the (g * s)^2 cells are all
-    written by C-level maps and joins.  Up to _BYTE_ORDER the copies are
-    byte strings and a row is one bytes join; above it they are lists, which
-    a row chains.  The rows are handed to DigroupTable unbuilt, so the only
-    copy made of them is the table's own."""
+    written by C-level maps and joins.  The copies are byte strings and a
+    row is one bytes join.  The rows are handed to DigroupTable unbuilt, so
+    the only copy made of them is the table's own.  A product past
+    _ORDER_CAP is refused before any row is built."""
     g, s = len(first_left), len(second_left)
-    # lists, not tuples: freed tuples of under 20 entries stay on CPython's
-    # free list, which would raise the peak of what follows
-    kind, glue = (bytes, b"".join) if g * s <= _BYTE_ORDER else (list, chain.from_iterable)
+    _require_checkable(g * s, "pair product")
 
     def rows(first, second):
-        shifted = [[kind(map((t * s).__add__, row)) for t in range(g)] for row in second]
+        shifted = [[bytes(map((t * s).__add__, row)) for t in range(g)] for row in second]
         return (
-            glue(map(copies.__getitem__, row))
+            b"".join(map(copies.__getitem__, row))
             for row in first
             for copies in shifted
         )
@@ -712,7 +692,8 @@ def builtin(name: str) -> DigroupTable:
     Accepted names: ``M``, ``N``, ``trivial(k)``, ``cyclic(k)`` (alias ``Zk``),
     and ``S3``.  M and N reproduce their source tables bit-exactly under the
     labels {0, a} and {e, α, β, γ, δ, ε}; M equals trivial(2).  Orders above
-    ``_VALIDATE_CAP`` raise UnsupportedOrderError.
+    ``_ORDER_CAP`` raise UnsupportedOrderError, from the factory, before any
+    row is built.
     """
     name = name.strip()
     if name == "M":
@@ -721,7 +702,7 @@ def builtin(name: str) -> DigroupTable:
     if name == "N":
         return DigroupTable(6, 0, _N_LEFT, _N_RIGHT, _N_LABELS)
     if name == "S3":
-        return symmetric_group_3()
+        return _symmetric_group_3()
     if name.startswith("Z") and name[1:].isdigit():
         factory, body = cyclic_group, name[1:]
     else:
@@ -739,7 +720,4 @@ def builtin(name: str) -> DigroupTable:
         k = int(body)
     except ValueError:
         raise DigroupError(f"bad order in builtin name {name!r}") from None
-    # No command can check a larger table, and building one takes memory
-    # growing as k^2.
-    _require_checkable(k)
     return factory(k)

@@ -20,13 +20,13 @@ digroup, and a -> (both translations of a) embeds the original digroup onto
 the diagonal of that product: the digroup counterpart of Cayley's theorem.
 The two sets with phi are the digroup's standard triple, and the triples
 module owns that layer: ``TransformSet``, the extraction of the left parts,
-phi, composition, the product order cap and the pair-digroup builder, which
-trusts its caller.  This module imports them and adds what reads a
-digroup's products: the translation sets as ``TranslationPair``s, the
-identity suite, both products and their embeddings.  The identity suite
-checks only the laws that read the digroup's products or Liu inverses, then
-appends ``validate_triple``'s violations on the extracted triple; both
-record through one collector.
+phi, composition and the pair-digroup builder, which trusts its caller.
+This module imports them and adds what reads a digroup's products: the
+translation sets as ``TranslationPair``s, the identity suite, both
+products and their embeddings.  The identity suite checks only the laws
+that read the digroup's products or Liu inverses, then appends
+``validate_triple``'s violations on the extracted triple; both record
+through one collector.
 The right-handed theory is the left one applied to the opposite digroup
 (x ⇀' y = y ↼ x, x ↼' y = y ⇀ x): the right translations are its left
 translations, read off the columns, and the pair-table builder fills the
@@ -41,7 +41,7 @@ triples module.  The right product is the left product of the opposite
 digroup, which is a digroup too, taken opposite with the components
 swapped, so it is one as well.  Then eta is checked to be an injective
 homomorphism onto a subdigroup.  So each product checks its source first,
-then refuses a product beyond the axiom check's order cap, and only then
+then refuses a product beyond the one order cap, and only then
 builds a table: a source that is no digroup never reaches the builder.
 """
 
@@ -60,6 +60,7 @@ from .tables import (
     Violation,
     _Record,
     _pair_table,
+    _require_checkable,
     ensure_valid,
     liu_inverse_map,
 )
@@ -69,7 +70,6 @@ from .triples import (
     _index_tables,
     _left_parts,
     _phi,
-    _require_product_checkable,
     _triple_table,
     triple_from_digroup,
     validate_triple,
@@ -209,7 +209,7 @@ def _embedded(
         ensure_valid(source)
     except ConstructionError as exc:
         raise ConstructionError(f"{what} product needs a digroup source: {exc}") from exc
-    _require_product_checkable(first, second)
+    _require_checkable(len(first) * len(second), "pair product")
     product = build()
     n, s = source.order, len(second)
     pair_labels = tuple((i, j) for i in range(len(first)) for j in range(s))

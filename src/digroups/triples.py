@@ -66,9 +66,10 @@ composes them as byte strings with ``bytes.translate``.  One composition
 table, the index of f∘h for every pair of members with None where f∘h falls
 outside its part, serves both the closure laws of ``validate_triple``, which
 report the first missing composite, and the pair-table builder.  The
-builder refuses nothing: every construction checks the triple, or the
-digroup the triple comes from, before it builds, and a triple that passes
-lacks no composite and holds the identity transform.  The translation
+builder refuses nothing but a product past the order cap: every
+construction checks the triple, or the digroup the triple comes from, and
+the product's order before it builds, and a triple that passes lacks no
+composite and holds the identity transform.  The translation
 module builds its products and its identity suite on the same extraction,
 composition and builder, so each law code has one meaning across both
 modules.
@@ -85,11 +86,9 @@ from .tables import (
     Element,
     MalformedTableError,
     Mapping,
-    UnsupportedOrderError,
     ValidationReport,
     Violation,
     _Record,
-    _VALIDATE_CAP,
     _integer,
     _integers,
     _pair_table,
@@ -227,16 +226,6 @@ def _first_missing(table) -> Optional[tuple[int, int]]:
     """The first (f, h) in lexicographic order whose composite the
     composition table lacks, or None if every composite is present."""
     return next(((i, row.index(None)) for i, row in enumerate(table) if None in row), None)
-
-
-def _require_product_checkable(group: TransformSet, semi: TransformSet) -> None:
-    """Refuse a pair product beyond the axiom check's order cap.  The
-    constructions do not run that check on their product, but each product
-    is built whole, 2·N² cells for order N, and the cap keeps every product
-    they return one that the axiom check can decide, as the tests do."""
-    order = len(group) * len(semi)
-    if order > _VALIDATE_CAP:
-        raise UnsupportedOrderError(f"pair product supports order <= {_VALIDATE_CAP}, got {order}")
 
 
 def _index_tables(group: TransformSet, semi: TransformSet, phi: Sequence[int]):
@@ -399,7 +388,7 @@ def digroup_from_triple(triple: StandardTriple) -> DigroupTable:
     validation.  The table of a triple that passes is a digroup by the
     proof in the module docstring, so it is returned unchecked.
     """
-    _require_product_checkable(triple.group_part, triple.semi_part)
+    _require_checkable(len(triple.group_part) * len(triple.semi_part), "pair product")
     report = validate_triple(triple)
     if not report.ok:
         raise TripleValidationError(

@@ -303,8 +303,8 @@ MUTANTS = (
     Mutant(
         "pair table: second rows are shifted by t * g, not t * s",
         TABLES,
-        "kind(map((t * s).__add__, row))",
-        "kind(map((t * g).__add__, row))",
+        "bytes(map((t * s).__add__, row))",
+        "bytes(map((t * g).__add__, row))",
         ("tests/test_tables.py::test_pair_table_equals_a_per_cell_reference",),
         "a cell's first component is scaled by the wrong factor when g != s",
     ),
@@ -317,22 +317,38 @@ MUTANTS = (
         "row (i, j) is built at index j * g + i, not i * s + j",
     ),
     Mutant(
-        "byte rows: the boundary is one order too high",
+        "order bound: one order too high",
         TABLES,
-        "_BYTE_ORDER = 256",
-        "_BYTE_ORDER = 257",
-        ("tests/test_tables.py", "-k", "past_order_256"),
-        "an order-257 table holds the entry 256, which no byte string can",
+        "_ORDER_CAP = 256",
+        "_ORDER_CAP = 257",
+        ("tests/test_tables.py", "-k", "past_256_is_refused_before_any_row_is_read"),
+        "an order-257 table is read, and its rows hold the entry 256, which "
+        "no byte string can",
     ),
     Mutant(
-        "byte rows: the boundary is one order too low",
+        "order bound: one order too low",
         TABLES,
-        "_BYTE_ORDER = 256",
-        "_BYTE_ORDER = 255",
-        ("tests/test_tables.py", "-k", "past_order_256"),
-        "order-256 tables take the per-cell path, which builds, relabels and "
-        "refuses exactly as the byte path does, only more slowly",
-        equivalent=True,
+        "_ORDER_CAP = 256",
+        "_ORDER_CAP = 255",
+        ("tests/test_translations.py", "-k", "through_order_16 and Z16"),
+        "Z16's translation products, of order 256, are refused",
+    ),
+    Mutant(
+        "order bound: a table does not check it",
+        TABLES,
+        "        _require_checkable(n)\n        if not (0 <= e < n):",
+        "        if not (0 <= e < n):",
+        ("tests/test_tables.py", "-k", "past_256_is_refused_before_any_row_is_read"),
+        "a table of order 257 reads its rows, and bytes(range(257)) raises "
+        "ValueError",
+    ),
+    Mutant(
+        "order bound: cyclic_group builds its rows before checking it",
+        TABLES,
+        '"cyclic group needs order >= 1")\n    _require_checkable(n)  # before the n^2 cells are built',
+        '"cyclic group needs order >= 1")',
+        ("tests/test_cli.py", "-k", "builtin_refuses_orders_beyond"),
+        "Z2000's 4,000,000 cells are built before the table refuses them",
     ),
     Mutant(
         "reindex: the columns are picked in sorted order",
@@ -345,8 +361,8 @@ MUTANTS = (
     Mutant(
         "reindex: the identity keeps its old index",
         TABLES,
-        "(e,) = relabel(kind((table.identity,)))",
-        "e = table.identity",
+        "code[table.identity]",
+        "table.identity",
         ("tests/test_tables.py::test_relabel_equals_a_per_cell_reference",),
         "a relabelled table's identity points at another element",
     ),
@@ -371,35 +387,27 @@ MUTANTS = (
         "relabelled into it, and a table is returned",
     ),
     Mutant(
-        "restrict: the closure check is skipped from order 256 on",
+        "restrict: the closure check is skipped at order 256",
         "src/digroups/subdigroups.py",
         "    if _closure(table, h) != h:",
         "    if table.order < 256 and _closure(table, h) != h:",
-        ("tests/test_tables.py", "-k", "past_order_256"),
+        ("tests/test_tables.py", "-k", "not_closed_at_order_256"),
         "in Z256 restricted to 0..254 the product 1 + 254 = 255 is relabelled "
-        "0 and a table is returned; in Z257 the position dict raises KeyError",
+        "0 and a table is returned",
     ),
     Mutant(
         "range check: an entry equal to the order passes",
         TABLES,
-        "valid = bytes(range(n)) if small else frozenset(range(n))",
-        "valid = bytes(range(n + 1)) if small else frozenset(range(n + 1))",
+        "valid = bytes(range(n))",
+        "valid = bytes(range(n + 1))",
         ("tests/test_tables.py::test_range_error_text_at_the_first_and_last_cell",),
         "a table with an entry n is accepted",
     ),
     Mutant(
-        "range check: the valid set is built before the row count is checked",
-        TABLES,
-        "    rows = tuple(rows)\n    if len(rows) != n:",
-        "    rows = tuple(rows)\n    frozenset(range(n))\n    if len(rows) != n:",
-        ("tests/test_budgets.py", "-k", "huge_order"),
-        "a document that claims a huge order over one row fills memory",
-    ),
-    Mutant(
         "integer check: table cells are truncated",
         TABLES,
-        "cells = bytes(row) if small else tuple(map(index, row))",
-        "cells = bytes(map(int, row)) if small else tuple(map(int, row))",
+        "cells = bytes(row)",
+        "cells = bytes(map(int, row))",
         ("tests/test_tables.py", "-k", "non_integer"),
         "0.5 is read as 0 and '1' as 1, as int() reads them",
     ),

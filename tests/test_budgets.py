@@ -19,6 +19,7 @@ import pytest
 
 from digroups import (
     builtin,
+    cayley_embedding,
     direct_product,
     serialize_digroup,
     serialize_triple,
@@ -46,6 +47,8 @@ _INPUTS = {
     "z2_trivial9.json": lambda: serialize_digroup(
         direct_product(builtin("Z2"), trivial_digroup(9))
     ),
+    "z16.json": lambda: serialize_digroup(builtin("Z16")),
+    "z16_product.json": lambda: serialize_digroup(cayley_embedding(builtin("Z16")).table),
     "huge_order.json": lambda: (
         '{"order": 1000000000, "identity": 0, "left": [[0]], "right": [[0]]}'
     ),
@@ -59,6 +62,8 @@ BUDGETS = [
     (["subs", "trivial16.json"], 0, 10, 256),  # 1.25 s
     (["embed", "z14.json"], 0, 5, 128),  # 0.09 s, product order 196, source checked
     (["embed", "trivial200.json"], 0, 5, 128),  # 0.19 s, product order 200, source checked once
+    (["embed", "z16.json"], 0, 5, 128),  # 0.09 s, product order 256, the bound; 19 MB peak
+    (["check", "z16_product.json"], 0, 5, 128),  # 0.15 s, order 256; 18 MB peak
     (["triple", "extract", "z200.json"], 0, 5, 128),  # 0.27 s
     (["triple", "check", "z200_triple.json"], 0, 5, 128),  # 0.34 s
     (["triple", "build", "z14_triple.json"], 0, 5, 128),  # 0.09 s, triple checked
@@ -71,7 +76,7 @@ BUDGETS = [
     (["iso", "z2_trivial8.json", "trivial16.json"], 1, 10, 128),  # 0.15 s, cores of 2 and 1
     (["iso", "z2_trivial8.json", "trivial2_trivial8.json"], 1, 10, 128),  # 0.16 s, cores of 2 and 1
     (["iso", "trivial18.json", "z2_trivial9.json"], 2, 5, 128),  # 0.10 s, refused
-    (["check", "huge_order.json"], 2, 5, 128),  # 0.07 s, one row where 10^9 are claimed
+    (["check", "huge_order.json"], 2, 5, 128),  # 0.07 s, 10^9 claimed, refused before a row is read
 ]
 
 

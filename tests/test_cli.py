@@ -14,7 +14,6 @@ from digroups import (
     ParseError,
     UnsupportedOrderError,
     builtin,
-    cyclic_group,
     parse_digroup,
     parse_triple,
     run_cli,
@@ -76,9 +75,32 @@ def test_check_rejects_booleans_as_integers(tmp_path, capsys):
     assert "'order'" in capsys.readouterr().err
 
 
+def _z257_document() -> str:
+    """Z257's digroup document, written by hand: no table of order 257 can
+    be built to serialize."""
+    rows = [[(x + y) % 257 for y in range(257)] for x in range(257)]
+    return json.dumps({"order": 257, "identity": 0, "left": rows, "right": rows})
+
+
+def _carrier257_triple_document() -> str:
+    """The triple of one identity transform on 257 points, written by hand:
+    a standard triple whose carrier is past the bound."""
+    ident = list(range(257))
+    return json.dumps(
+        {
+            "carrier_size": 257,
+            "group_part": [ident],
+            "semi_part": [ident],
+            "right_unit": 0,
+            "left_inverse": [0],
+            "phi": [0],
+        }
+    )
+
+
 def test_check_rejects_orders_beyond_the_validator_cap(tmp_path, capsys):
-    path = tmp_path / "z201.json"
-    path.write_text(serialize_digroup(cyclic_group(201)), encoding="utf-8")
+    path = tmp_path / "z257.json"
+    path.write_text(_z257_document(), encoding="utf-8")
     assert run_cli(["check", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -120,17 +142,17 @@ def test_triple_build_refuses_a_large_product(tmp_path, capsys):
         (
             ["embed"],
             lambda: serialize_digroup(builtin("Z20")),
-            "pair product supports order <= 200, got 400",
+            "pair product supports order <= 256, got 400",
         ),
         (
             ["triple", "build"],
             lambda: serialize_triple(triple_from_digroup(builtin("Z200"))),
-            "pair product supports order <= 200, got 40000",
+            "pair product supports order <= 256, got 40000",
         ),
         (
             ["check"],
-            lambda: serialize_digroup(cyclic_group(201)),
-            "axiom check supports order <= 200, got 201",
+            _z257_document,
+            "axiom check supports order <= 256, got 257",
         ),
     ],
     ids=["embed", "triple-build", "check"],
@@ -143,16 +165,15 @@ def test_refusals_name_the_cap_that_was_reached(tmp_path, capsys, argv, document
 
 
 def test_triple_check_refuses_a_large_carrier(tmp_path, capsys):
-    path = tmp_path / "trivial201_triple.json"
-    triple = triple_from_digroup(trivial_digroup(201))
-    path.write_text(serialize_triple(triple), encoding="utf-8")
+    path = tmp_path / "carrier257_triple.json"
+    path.write_text(_carrier257_triple_document(), encoding="utf-8")
     assert run_cli(["triple", "check", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: axiom check supports order <= 256, got 257\n"
 
 
-@pytest.mark.parametrize("name", ["Z200", "trivial(200)"])
+@pytest.mark.parametrize("name", ["Z256", "trivial(256)"])
 def test_triple_check_at_the_carrier_cap(tmp_path, capsys, name):
-    # Z200's carrier, group part and semi part all sit at the cap
+    # Z256's carrier, group part and semi part all sit at the cap
     path = tmp_path / "triple.json"
     path.write_text(serialize_triple(triple_from_digroup(builtin(name))), encoding="utf-8")
     assert run_cli(["triple", "check", str(path)]) == 0
@@ -283,17 +304,17 @@ def test_check_reports_undecodable_and_overdeep_files_as_input_errors(tmp_path, 
 
 
 def test_builtin_refuses_orders_beyond_the_validator_cap_before_building(capsys):
-    assert builtin("Z200").order == 200
+    assert builtin("Z256").order == 256
     tracemalloc.start()
     try:
-        for name in ("Z2000", "cyclic(201)", "trivial(201)"):
+        for name in ("Z2000", "cyclic(257)", "trivial(257)"):
             with pytest.raises(UnsupportedOrderError):
                 builtin(name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert run_cli(["builtin", "Z201"]) == 2
+    assert run_cli(["builtin", "Z257"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

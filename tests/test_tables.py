@@ -5,6 +5,7 @@ hand; indices follow the label orders (0, a) and (e, α, β, γ, δ, ε).
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from digroups import (
     DigroupTable,
     MalformedTableError,
     Mapping,
+    UnsupportedOrderError,
     builtin,
     commutes,
     cyclic_group,
@@ -24,6 +26,7 @@ from digroups import (
     is_group,
     liu_inverse,
     liu_inverse_map,
+    parse_digroup,
     relabel,
     trivial_digroup,
     validate_digroup,
@@ -298,9 +301,9 @@ _NON_INTEGERS = (0.5, 1.0, "1", None)
 
 @pytest.mark.parametrize("bad", _NON_INTEGERS)
 @pytest.mark.parametrize("name, x, y", _BAD_CELLS)
-@pytest.mark.parametrize("n", (3, 257))
+@pytest.mark.parametrize("n", (3, 256))
 def test_non_integer_error_text_at_the_first_and_last_cell(bad, name, x, y, n):
-    """Order 3 reads rows as bytes, order 257 cell by cell."""
+    """At order 3 and at the bound, 256."""
     x, y = x * (n - 1) // 2, y * (n - 1) // 2
     rows = {side: [[(a + b) % n for b in range(n)] for a in range(n)] for side in ("left", "right")}
     rows[name][x][y] = bad
@@ -375,19 +378,29 @@ def test_pair_table_equals_a_per_cell_reference(g, s, labelled):
     assert got.labels == (None if labels is None else tuple(labels))
 
 
-def test_direct_product_past_order_256_equals_a_per_cell_reference():
+def _refused_before_any_row(g, s):
+    """Assert that the pair product of index tables of g and s rows, each
+    row None, is refused: reading a row would raise TypeError instead."""
+    unread_g, unread_s = [None] * g, [None] * s
+    err = f"^pair product supports order <= 256, got {g * s}$"
+    with pytest.raises(UnsupportedOrderError, match=err):
+        _pair_table(unread_g, unread_g, unread_s, unread_s, (0, 0))
+
+
+def test_direct_product_past_order_256_is_refused_before_any_row_is_built():
     z20 = builtin("Z20")
-    prod = direct_product(z20, z20)
-    identity = (z20.identity, z20.identity)
-    expected = _pair_reference(z20.left, z20.right, z20.left, z20.right, identity)
-    assert (prod.order, prod.identity, prod.left, prod.right) == expected
-    assert prod.order == 400 and prod.left[399][399] == 18 * 20 + 18
+    with pytest.raises(UnsupportedOrderError, match="^pair product supports order <= 256, got 400$"):
+        direct_product(z20, z20)
+    _refused_before_any_row(20, 20)
 
 
 @pytest.mark.parametrize("g, s", [(16, 16), (1, 257), (257, 1), (20, 20)])
-def test_pair_table_and_relabel_at_and_past_order_256_equal_per_cell_references(g, s):
-    """Order 256 is the largest built as byte rows; 257 and 400 are built
-    from lists and tuples."""
+def test_pair_table_and_relabel_at_order_256_equal_per_cell_references_past_it_refused(g, s):
+    """Order 256 is the largest table; a larger product is refused before
+    any row is built."""
+    if g * s > 256:
+        _refused_before_any_row(g, s)
+        return
     first, second = cyclic_group(g), trivial_digroup(s)
     prod = direct_product(first, second)
     identity = (first.identity, second.identity)
@@ -472,12 +485,27 @@ def test_restrict_refuses_a_subset_that_is_not_closed():
         restrict(n, {1})
 
 
-@pytest.mark.parametrize("n, subset", [(256, range(255)), (256, (0, 200)), (257, (0, 1))])
-def test_restrict_refuses_a_subset_that_is_not_closed_at_and_past_order_256(n, subset):
+@pytest.mark.parametrize("n, subset", [(256, range(255)), (256, (0, 200))])
+def test_restrict_refuses_a_subset_that_is_not_closed_at_order_256(n, subset):
     # in Z256, 1 + 254 = 255 lies outside 0..254, the largest subset whose
     # labels leave out 255
     with pytest.raises(MalformedTableError, match="^subset is not closed under the products$"):
         restrict(cyclic_group(n), set(subset))
+
+
+@pytest.mark.parametrize("order", (257, 10**9))
+def test_an_order_past_256_is_refused_before_any_row_is_read(order):
+    def unread():
+        raise AssertionError("a row was read")
+        yield
+
+    err = f"^axiom check supports order <= 256, got {order}$"
+    with pytest.raises(UnsupportedOrderError, match=err):
+        DigroupTable(order, 0, unread(), unread())
+    # one row where the document claims many: the row count is never compared
+    document = json.dumps({"order": order, "identity": 0, "left": [[0]], "right": [[0]]})
+    with pytest.raises(UnsupportedOrderError, match=err):
+        parse_digroup(document)
 
 
 def test_direct_product_properties(m_table):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +32,12 @@ from digroups import (
     serialize_embedding,
     translation_product_digroup,
     triple_from_digroup,
+    trivial_digroup,
     validate_digroup,
     verify_translation_identities,
 )
 from digroups import translations as tl, triples as tr
+from digroups.fileio import parse_catalog_line
 from digroups.subdigroups import SubsetMask
 from digroups.tables import INVERSE_MISSING
 from digroups.translations import TRANSLATION_LAWS, ProductDigroup, _verify_embedding
@@ -410,6 +413,42 @@ def test_products_of_digroups_pass_the_axiom_check(reference_classes):
             digroup_from_triple(triple_from_digroup(table)),
         ):
             assert validate_digroup(product).ok, serialize_digroup(table)
+
+
+def _order_15_classes():
+    """Every class of order 15, read from the checked-in catalog."""
+    lines = Path(__file__).with_name("catalog_11_15.jsonl").read_text(encoding="utf-8")
+    entries = map(parse_catalog_line, lines.splitlines())
+    return [entry.canonical for entry in entries if entry.order == 15]
+
+
+# Digroups of orders 15 and 16 -> the order of both translation products.
+# The only group of order 15 and the four abelian groups of order 16 give
+# products at and near the table bound, 256.
+_THROUGH_ORDER_16 = {
+    **{
+        f"class15-{k}": (lambda k=k: _order_15_classes()[k], order)
+        for k, order in enumerate((15, 45, 45, 75, 225))
+    },
+    "Z16": (lambda: builtin("Z16"), 256),
+    "Z4xZ4": (lambda: direct_product(builtin("Z4"), builtin("Z4")), 256),
+    "Z2xZ8": (lambda: direct_product(builtin("Z2"), builtin("Z8")), 256),
+    "Z2^4": (lambda: direct_product(*[direct_product(builtin("Z2"), builtin("Z2"))] * 2), 256),
+    "trivial(16)": (lambda: trivial_digroup(16), 16),
+}
+
+
+@pytest.mark.parametrize("name", _THROUGH_ORDER_16)
+def test_products_through_order_16_build_check_and_round_trip(name):
+    make, order = _THROUGH_ORDER_16[name]
+    assert len(_order_15_classes()) == 5
+    table = make()
+    left, right = cayley_embedding(table).table, right_translation_product(table).table
+    assert (left.order, right.order) == (order, order)
+    assert verify_translation_identities(table).ok
+    assert digroup_from_triple(triple_from_digroup(table)) == left
+    if order > 200:
+        assert validate_digroup(left).ok and validate_digroup(right).ok
 
 
 def test_verify_embedding_rejects_a_broken_embedding(n_table):
