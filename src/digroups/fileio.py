@@ -138,8 +138,6 @@ def parse_triple(text: str) -> StandardTriple:
             if len(parts[-1]) != len(rows):
                 raise MalformedTableError("explicit transform list must be duplicate-free")
         group, semi = parts
-        if group.carrier_size != carrier or semi.carrier_size != carrier:
-            raise MalformedTableError("transform rows do not match carrier_size")
         return StandardTriple(carrier, group, semi, right_unit, tuple(left_inverse), tuple(phi))
     except MalformedTableError as exc:
         raise ParseError(str(exc)) from None

@@ -5,13 +5,17 @@ at index 0.  Bar-unit cells are pre-seeded: column e of the left table is the
 identity column, row e of the right table the identity row, and column e of
 the right table is tied cell-by-cell to row e of the left table, which is
 seeded whole once per fiber size (below).  The constraints are read from
-the law table tables._DIASSOC, which the validator also reads: for each law
-and triple (x, y, z), one instance links the inner-product cell of each side
-(x a y, or y b z for x a (y b z)) to that side's outer cell.  Once both
-inner products are known the outer cells must agree, which assigns a value,
-detects a conflict, or records an equality edge between two still-open
-cells.  Partial assignments that are lexicographically above one of their
-identity-fixing relabelings are cut.
+the law table tables._DIASSOC, which the validator also reads, for the three
+laws of tables._DIASSOC_BASIS: DIASSOC_1, DIASSOC_3 and DIASSOC_5.  The other
+two are theorems of these and the seeded bar-unit laws (tables docstring),
+so no leaf breaks them, and their instances cut no node at orders 1-15.
+Each of the three sets (x a y) b z against x a (y b z); for each law and
+triple (x, y, z), one instance links the inner cells x a y and y b z to the
+outer cells (x a y) b z and x a (y b z).  Once both inner products are known
+the outer cells must agree, which assigns a value, detects a conflict, or
+records an equality edge between two still-open cells.  Partial assignments
+that are lexicographically above one of their identity-fixing relabelings
+are cut.
 
 The axioms also force two families of bijections.  Given y, take its Liu
 inverse u, so u⇀y = e = y↼u.
@@ -30,7 +34,9 @@ x, let u be the element with x↼u = e.  Then x↼(e⇀u) = (x↼e)⇀u by
 DIASSOC_3, = (e⇀x)⇀u by the bar-unit swap, = e⇀(x↼u) by DIASSOC_2, = e;
 row x of ↼ is a bijection, so e⇀u = u.  The y with y⇀x = e then satisfies
 y = y⇀(x↼u) = (y⇀x)⇀u = e⇀u = u by DIASSOC_2, so u is the Liu inverse of
-x.  _entries_from_solutions still re-validates every emitted table.
+x.  DIASSOC_2 has no instances, but it is a theorem of the laws that do and
+of the bar-unit cells, which are seeded (tables docstring), so it holds at
+every leaf.  _entries_from_solutions still re-validates every emitted table.
 
 Row e of ⇀ is seeded whole, once per fiber size.  Let E = {e⇀x} be the
 group core, J = {x : e⇀x = e} and j = |J|; the fiber of g in E is
@@ -100,6 +106,7 @@ from .tables import (
     DigroupTable,
     UnsupportedOrderError,
     _DIASSOC,
+    _DIASSOC_BASIS,
     _Record,
     _diassoc_violations,
     _violations,
@@ -151,36 +158,26 @@ class ClaimReport(_Record):
 # Constraint tables, cached per order
 # ---------------------------------------------------------------------------
 
-# A law instance is (in1, in2, base1, base2, mult2): when cells in1 and in2
-# hold v1 and v2, the cells base1 + v1*n and base2 + v2*mult2 must be equal.
-# Cell ids are t*n*n + x*n + y with t = 0 for the left table, 1 for the right.
-# One instance per law of tables._DIASSOC and triple (x, y, z), built from
-# the law's two sides.  The first side is (x a y) b z, whose outer cell
-# v1 ⇀ z or v1 ↼ z steps by n as v1 grows; every law has such a side.
+# A law instance is (in1, in2, base1, base2): when cells in1 and in2 hold v1
+# and v2, the cells base1 + v1*n and base2 + v2 must be equal.  Cell ids are
+# t*n*n + x*n + y with t = 0 for the left table, 1 for the right.  One
+# instance per law (x a y) b z = x a (y b z) of tables._DIASSOC_BASIS and
+# triple (x, y, z): in1 is x a y, whose value v1 gives the outer cell v1 b z,
+# and in2 is y b z, whose value v2 gives x a v2, in row x of a.
 
 
 @lru_cache(maxsize=None)
 def _search_tables(n: int):
     nn = n * n
-
-    def side(nested, a, b, x, y, z):
-        """(inner cell, base, step) of one side at (x, y, z): its outer cell
-        is base + step * (the inner cell's value)."""
-        if nested:  # x a (y b z): the outer cell is x a v, in row x of a
-            return b * nn + y * n + z, a * nn + x * n, 1
-        return a * nn + x * n + y, b * nn + z, n  # (x a y) b z: v b z
-
-    # flat sides first; sorted is stable, so a law with two keeps its order
-    laws = [sorted(law, key=lambda s: s[0]) for law in _DIASSOC]
-    insts: list[tuple[int, int, int, int, int]] = []
-    for x, y, z in itertools.product(range(n), repeat=3):
-        for first, second in laws:
-            in1, base1, _ = side(*first, x, y, z)
-            in2, base2, mult2 = side(*second, x, y, z)
-            insts.append((in1, in2, base1, base2, mult2))
+    ops = [_DIASSOC[k][0][1:] for k in _DIASSOC_BASIS]  # (a, b), either side's
+    insts = [
+        (a * nn + x * n + y, b * nn + y * n + z, b * nn + z, a * nn + x * n)
+        for x, y, z in itertools.product(range(n), repeat=3)
+        for a, b in ops
+    ]
 
     watch: list[list[int]] = [[] for _ in range(2 * nn)]
-    for idx, (in1, in2, _, _, _) in enumerate(insts):
+    for idx, (in1, in2, _, _) in enumerate(insts):
         watch[in1].append(idx)
         if in2 != in1:
             watch[in2].append(idx)
@@ -260,7 +257,7 @@ class _Search:
             for d in self.eq[c]:
                 queue.append((d, w))
             for idx in self.watch[c]:
-                in1, in2, base1, base2, mult2 = self.insts[idx]
+                in1, in2, base1, base2 = self.insts[idx]
                 v1 = val[in1]
                 if v1 < 0:
                     continue
@@ -268,7 +265,7 @@ class _Search:
                 if v2 < 0:
                     continue
                 o1 = base1 + v1 * n
-                o2 = base2 + v2 * mult2
+                o2 = base2 + v2
                 if o1 == o2:
                     continue
                 a1 = val[o1]

@@ -270,18 +270,45 @@ MUTANTS = (
         '("(x⇀y)⇀z", "x⇀(y↼z)"),',
         '("(x⇀y)⇀z", "x↼(y↼z)"),',
         ("tests/test_search.py::test_catalogs_equal_the_reference_catalog",),
-        "the search builds its constraints from the same wrong side and loses "
-        "every class that is not a group, which the re-check, reading the same "
-        "table, cannot see",
+        "the search builds no DIASSOC_2 instances, so it still finds M, but "
+        "the re-check of its tables reads the wrong law and refuses M",
     ),
     Mutant(
         "search: an instance is built from a nested side first",
         SEARCH,
-        "laws = [sorted(law, key=lambda s: s[0]) for law in _DIASSOC]",
-        "laws = [sorted(law, key=lambda s: not s[0]) for law in _DIASSOC]",
+        "(a * nn + x * n + y, b * nn + y * n + z, b * nn + z, a * nn + x * n)",
+        "(b * nn + y * n + z, a * nn + x * n + y, b * nn + z, a * nn + x * n)",
         ("tests/test_search.py::test_search_node_counts_are_pinned",),
-        "a nested side's outer cell steps by 1, not n, as its inner value grows, "
-        "so the instance ties the wrong cells",
+        "the nested side's inner cell y b z stands first, so its value steps "
+        "the outer cell by n, not 1, and the instance ties the wrong cells",
+    ),
+    Mutant(
+        "search: the search leaves out DIASSOC_3",
+        TABLES,
+        "_DIASSOC_BASIS = (0, 2, 4)",
+        "_DIASSOC_BASIS = (0, 4)",
+        ("tests/test_search.py::test_catalogs_equal_the_reference_catalog",),
+        "DIASSOC_1 and DIASSOC_5 with the bar-unit laws prove neither DIASSOC_3 "
+        "nor the two theorems, so the search emits a non-digroup, which its "
+        "re-check refuses at order 4",
+    ),
+    Mutant(
+        "search: the search leaves out DIASSOC_5",
+        TABLES,
+        "_DIASSOC_BASIS = (0, 2, 4)",
+        "_DIASSOC_BASIS = (0, 2)",
+        ("tests/test_search.py::test_catalogs_equal_the_reference_catalog",),
+        "lemmas B and C of the proof need DIASSOC_5, so the search emits "
+        "non-digroups, which its re-check refuses, or searches far more nodes",
+    ),
+    Mutant(
+        "proofs: one step of lemma B cites the wrong law",
+        "tests/test_proofs.py",
+        '("D5", "y↼(z↼e)")',
+        '("D3", "y↼(z↼e)")',
+        ("tests/test_proofs.py",),
+        "(y↼z)↼e = y↼(z↼e) is an instance of DIASSOC_5, not of DIASSOC_3, so "
+        "the checker must refuse the step",
     ),
     Mutant(
         "validator: the witness index arithmetic",

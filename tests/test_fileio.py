@@ -146,6 +146,25 @@ def test_parse_triple_rejects_a_repeated_transform(edit):
         parse_triple(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(carrier_size=7), "group part"),
+        # the group part is checked first, then the semi part
+        (lambda doc: doc.update(group_part=[r + [6] for r in doc["group_part"]]), "group part"),
+        (lambda doc: doc.update(semi_part=[r + [6] for r in doc["semi_part"]]), "semi part"),
+    ],
+    ids=["carrier", "group", "semi"],
+)
+def test_parse_triple_rejects_transforms_off_the_carrier_size(edit, message):
+    # StandardTriple makes the one carrier-size check; the parser passes its
+    # text through
+    doc = json.loads(serialize_triple(triple_from_digroup(builtin("N"))))
+    edit(doc)
+    with pytest.raises(ParseError, match=f"^{message} carrier size mismatch$"):
+        parse_triple(json.dumps(doc))
+
+
 def test_parse_rejects_non_json_and_non_object():
     with pytest.raises(ParseError, match="line 1"):
         parse_digroup("not json")

@@ -563,26 +563,61 @@ def test_complete_table_pruning_counts_are_pinned(name, below, branches, monkeyp
 
 def test_instance_encoding_matches_axiom_checker():
     # the search's law instances, evaluated on a full table pair, must agree
-    # with the checker's five diassociativity verdicts on random tables
+    # law by law with the checker's verdicts on DIASSOC_1, 3 and 5, the laws
+    # they encode: on random tables, and on the unit-consistent pairs of
+    # order 3 whose ⇀ table keeps DIASSOC_1, where each law also holds
     import random
 
     from digroups import DigroupTable, validate_digroup
-    from digroups.search import _search_tables
+    from digroups.search import _breaks_diassoc_1, _search_tables
 
+    laws = ("DIASSOC_1", "DIASSOC_3", "DIASSOC_5")
     rng = random.Random(7)
     n = 3
     insts = _search_tables(n)[0]
-    for _ in range(300):
-        left = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        right = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    pairs = [
+        [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+        for _ in range(300)
+    ]
+    pairs += [
+        (left, right)
+        for left, rights in _unit_consistent_pairs(n)
+        if not _breaks_diassoc_1(left)
+        for right in rights
+    ]
+    kept = dict.fromkeys(laws, 0)
+    for left, right in pairs:
         flat = [v for row in left for v in row] + [v for row in right for v in row]
-        insts_ok = all(
-            flat[base1 + flat[in1] * n] == flat[base2 + flat[in2] * mult2]
-            for in1, in2, base1, base2, mult2 in insts
-        )
-        report = validate_digroup(DigroupTable(n, 0, left, right))
-        checker_ok = not any(v.law.startswith("DIASSOC") for v in report.violations)
-        assert insts_ok == checker_ok
+        broken = {v.law for v in validate_digroup(DigroupTable(n, 0, left, right)).violations}
+        for k, law in enumerate(laws):
+            holds = all(
+                flat[base1 + flat[in1] * n] == flat[base2 + flat[in2]]
+                for in1, in2, base1, base2 in insts[k :: len(laws)]
+            )
+            assert holds == (law not in broken)
+            kept[law] += holds
+    assert len(insts) == len(laws) * n**3 and all(kept.values())
+
+
+@pytest.mark.parametrize("n, kept", [(2, 3), (3, 22)])
+def test_every_pair_that_keeps_the_basis_keeps_diassoc_2_and_4(n, kept):
+    # DIASSOC_2 and DIASSOC_4 are theorems of DIASSOC_1, 3, 5 and the unit
+    # laws (tables docstring; tests/test_proofs.py checks the steps), so the
+    # search builds no instances of them.  Exhaustively at orders 2 and 3:
+    # every unit-consistent pair that keeps the three keeps the two.
+    from digroups.search import _breaks_diassoc_1
+    from digroups.tables import _DIASSOC_BASIS, _diassoc_violations
+
+    found = 0
+    for left, rights in _unit_consistent_pairs(n):
+        if _breaks_diassoc_1(left):  # DIASSOC_1 reads ⇀ alone
+            continue
+        for right in rights:
+            if next(_diassoc_violations((left, right), _DIASSOC_BASIS), None) is None:
+                found += 1
+                theorems = (1, 3)  # DIASSOC_2 and DIASSOC_4
+                assert next(_diassoc_violations((left, right), theorems), None) is None
+    assert found == kept
 
 
 def test_unit_preseeding_is_sound(identity_suite):
